@@ -10,7 +10,9 @@
 // the removed rule would have substituted for.  This bench measures decide
 // rates across crash storms for the three policies.  Shape: the full
 // algorithm decides 100%; each ablation leaves survivors stranded in some
-// runs; no policy ever produces two leaders.
+// runs; no policy ever produces two leaders.  The bench exits 1 if a run
+// breaks either claim: an inconsistent run under any policy, or a full-
+// algorithm run in which some survivor does not decide.
 #include <cstdio>
 
 #include "bench_flags.h"
@@ -25,16 +27,19 @@ namespace {
 struct AblationRow {
   const char* name;
   bss::core::ElectPolicy policy;
+  bool wait_free = false;  ///< every survivor must decide in every run
 };
 
-void run_policy(const AblationRow& row, int k, int n, int trials,
+/// Prints and records one policy's row; returns false if the row breaks the
+/// shape claimed in the header comment.
+bool run_policy(const AblationRow& row, int k, int n, int trials,
                 bss::bench::BenchReport& bench_report) {
   int decided_all = 0;
   int gave_up_runs = 0;
   int inconsistent = 0;
   bss::Rng rng(4242);
   for (int trial = 0; trial < trials; ++trial) {
-    const auto crashes = bss::sim::CrashPlan::random(n, 0.45, 12, rng);
+    const auto crashes = bss::sim::FaultPlan::random_crashes(n, 0.45, 12, rng);
     bss::sim::RandomScheduler scheduler(static_cast<std::uint64_t>(trial));
     bss::core::SimElectionOptions options;
     options.policy = row.policy;
@@ -72,6 +77,7 @@ void run_policy(const AblationRow& row, int k, int n, int trials,
   object.emplace("gave_up_runs", gave_up_runs);
   object.emplace("inconsistent_runs", inconsistent);
   bench_report.row(std::move(object));
+  return inconsistent == 0 && (!row.wait_free || decided_all == trials);
 }
 
 }  // namespace
@@ -91,7 +97,7 @@ int main(int argc, char** argv) {
               "gave-up-runs", "inconsistent");
 
   AblationRow rows[3];
-  rows[0] = {"full algorithm", {}};
+  rows[0] = {"full algorithm", {}, true};
   rows[1] = {"no help-others", {}};
   rows[1].policy.help_others = false;
   rows[1].policy.allow_incomplete = true;
@@ -99,12 +105,19 @@ int main(int argc, char** argv) {
   rows[2].policy.helper_confirm = false;
   rows[2].policy.allow_incomplete = true;
 
-  for (const auto& row : rows) run_policy(row, kK, kN, kTrials, report);
+  bool ok = true;
+  for (const auto& row : rows) {
+    ok = run_policy(row, kK, kN, kTrials, report) && ok;
+  }
 
   std::printf(
       "\nshape: removing either helping rule costs only LIVENESS (give-ups\n"
       "appear under crashes) and never SAFETY (zero inconsistent runs) —\n"
       "the algorithm degrades the way the wait-freedom argument predicts.\n");
+  if (!ok) {
+    std::printf("FATAL: a policy produced two leaders, or the full algorithm "
+                "left a survivor undecided\n");
+  }
   report.finalize();
-  return 0;
+  return ok ? 0 : 1;
 }

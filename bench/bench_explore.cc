@@ -19,9 +19,8 @@
 // passivity contract) and reporting the relative cost of each layer.
 //
 // The steal-scaling section runs the skewed-writer workload — one long
-// writer against three short ones on a single register, the shape static
-// prefix-depth sharding load-balances worst — under both engines
-// (work-stealing and legacy static sharding) at 1/2/4/8 workers, checking
+// writer against three short ones on a single register, the shape a fixed
+// prefix-depth split load-balances worst — at 1/2/4/8 workers, checking
 // byte-identity against the serial baseline on the spot (EXPERIMENTS.md
 // carries the table).
 //
@@ -231,22 +230,20 @@ void print_scaling_json(const std::vector<ScaleRow>& rows, bool more) {
   }
 }
 
-// ------------------------------------------------ steal-vs-static scaling
+// ------------------------------------------------------------ steal scaling
 
-/// One (engine, workers) cell of the skewed-workload scaling table.
+/// One worker-count cell of the skewed-workload scaling table.
 struct StealScaleRow {
-  std::string engine;  ///< "steal" or "static"
   int jobs = 1;
   double seconds = 0;
   std::uint64_t schedules = 0;
   bool identical = true;  ///< vs the serial baseline
 };
 
-/// The skewed-writer workload under both engines at 1/2/4/8 workers: POR
-/// prunes nothing (every operation pair conflicts) and process 0's subtrees
-/// dwarf the others', so static prefix-depth sharding yields wildly unequal
-/// jobs while the stealing engine re-balances on the fly.  Byte-identity
-/// against the serial baseline is checked for every cell.
+/// The skewed-writer workload at 1/2/4/8 workers: POR prunes nothing
+/// (every operation pair conflicts) and process 0's subtrees dwarf the
+/// others', so the stealing engine must re-balance on the fly.
+/// Byte-identity against the serial baseline is checked for every cell.
 std::vector<StealScaleRow> run_steal_scaling() {
   bss::explore::SkewedWriterSystem system(4, 6, 1);
   ExploreOptions serial;
@@ -254,31 +251,27 @@ std::vector<StealScaleRow> run_steal_scaling() {
   const ExploreResult baseline = bss::explore::explore(system, serial);
 
   std::vector<StealScaleRow> rows;
-  for (const bool steal : {true, false}) {
-    for (const int jobs : {1, 2, 4, 8}) {
-      StealScaleRow row;
-      row.engine = steal ? "steal" : "static";
-      row.jobs = jobs;
-      ExploreOptions options;
-      options.steal = steal;
-      options.jobs = jobs;
-      const auto start = std::chrono::steady_clock::now();
-      const ExploreResult result = bss::explore::explore(system, options);
-      row.seconds = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-      row.schedules = result.stats.schedules;
-      row.identical = results_match(result, baseline) &&
-                      result.summary() == baseline.summary();
-      rows.push_back(std::move(row));
-    }
+  for (const int jobs : {1, 2, 4, 8}) {
+    StealScaleRow row;
+    row.jobs = jobs;
+    ExploreOptions options;
+    options.jobs = jobs;
+    const auto start = std::chrono::steady_clock::now();
+    const ExploreResult result = bss::explore::explore(system, options);
+    row.seconds = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+    row.schedules = result.stats.schedules;
+    row.identical = results_match(result, baseline) &&
+                    result.summary() == baseline.summary();
+    rows.push_back(row);
   }
   return rows;
 }
 
 void print_steal_scaling_table(const std::vector<StealScaleRow>& rows) {
-  std::printf("\n%-24s %7s %5s %9s %10s %8s %s\n", "workload", "engine",
-              "jobs", "schedules", "sched/s", "speedup", "identical");
+  std::printf("\n%-24s %5s %9s %10s %8s %s\n", "workload", "jobs",
+              "schedules", "sched/s", "speedup", "identical");
   const double base_rate =
       rows[0].seconds > 0
           ? static_cast<double>(rows[0].schedules) / rows[0].seconds
@@ -287,9 +280,8 @@ void print_steal_scaling_table(const std::vector<StealScaleRow>& rows) {
     const double rate =
         row.seconds > 0 ? static_cast<double>(row.schedules) / row.seconds
                         : 0;
-    std::printf("%-24s %7s %5d %9llu %10.0f %7.2fx %s\n", "skewed-writers",
-                row.engine.c_str(), row.jobs,
-                static_cast<unsigned long long>(row.schedules), rate,
+    std::printf("%-24s %5d %9llu %10.0f %7.2fx %s\n", "skewed-writers",
+                row.jobs, static_cast<unsigned long long>(row.schedules), rate,
                 base_rate > 0 ? rate / base_rate : 0,
                 row.identical ? "yes" : "NO");
   }
@@ -303,10 +295,10 @@ void print_steal_scaling_json(const std::vector<StealScaleRow>& rows,
         row.seconds > 0 ? static_cast<double>(row.schedules) / row.seconds
                         : 0;
     std::printf(
-        "  {\"workload\": \"skewed-writers\", \"engine\": \"%s\", "
-        "\"jobs\": %d, \"schedules\": %llu, \"schedules_per_sec\": %.0f, "
+        "  {\"workload\": \"skewed-writers\", \"jobs\": %d, "
+        "\"schedules\": %llu, \"schedules_per_sec\": %.0f, "
         "\"identical\": %s}%s\n",
-        row.engine.c_str(), row.jobs,
+        row.jobs,
         static_cast<unsigned long long>(row.schedules), rate,
         row.identical ? "true" : "false",
         more || i + 1 < rows.size() ? "," : "");
@@ -825,7 +817,6 @@ int main(int argc, char** argv) {
     bss::obs::json::Object object;
     object.emplace("workload",
                    bss::obs::json::Value(std::string("skewed-writers")));
-    object.emplace("engine", bss::obs::json::Value(row.engine));
     object.emplace("jobs", bss::obs::json::Value(row.jobs));
     object.emplace("schedules", bss::obs::json::Value(row.schedules));
     object.emplace("seconds", bss::obs::json::Value(row.seconds));
@@ -911,7 +902,7 @@ int main(int argc, char** argv) {
                 "passivity violated)\n");
   }
   if (!steal_identical) {
-    std::printf("FATAL: steal/static engines diverged from the serial "
+    std::printf("FATAL: the stealing engine diverged from the serial "
                 "baseline on the skewed workload\n");
   }
   std::printf("  minimized artifact replay at --jobs %d: %llu divergences\n",

@@ -16,7 +16,7 @@ int single_register_elect(sim::WriteOnceRmwK& reg, sim::Ctx& ctx, int pid) {
 
 SingleReport run_single_register_election(int k, int n,
                                           sim::Scheduler& scheduler,
-                                          const sim::CrashPlan& crashes) {
+                                          const sim::FaultPlan& faults) {
   expects(n >= 1 && n <= k - 1, "requires 1 <= n <= k-1");
   sim::WriteOnceRmwK reg("burns", k);
   SingleReport report;
@@ -28,7 +28,7 @@ SingleReport run_single_register_election(int k, int n,
           single_register_elect(reg, ctx, pid);
     });
   }
-  report.run = env.run(scheduler, crashes);
+  report.run = env.run(scheduler, faults);
   int leader = -1;
   for (int pid = 0; pid < n; ++pid) {
     if (report.run.outcomes[static_cast<std::size_t>(pid)] !=
@@ -85,7 +85,7 @@ std::uint64_t multi_register_elect(MultiState& state, sim::Ctx& ctx,
 
 MultiReport run_multi_register_election(const std::vector<int>& sizes, int n,
                                         sim::Scheduler& scheduler,
-                                        const sim::CrashPlan& crashes) {
+                                        const sim::FaultPlan& faults) {
   MultiState state(sizes);
   expects(n >= 1 && static_cast<std::uint64_t>(n) <= state.capacity(),
           "process count exceeds the product capacity");
@@ -98,7 +98,7 @@ MultiReport run_multi_register_election(const std::vector<int>& sizes, int n,
           multi_register_elect(state, ctx, static_cast<std::uint64_t>(pid));
     });
   }
-  report.run = env.run(scheduler, crashes);
+  report.run = env.run(scheduler, faults);
   std::int64_t leader = -1;
   for (int pid = 0; pid < n; ++pid) {
     if (report.run.outcomes[static_cast<std::size_t>(pid)] !=

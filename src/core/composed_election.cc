@@ -34,7 +34,7 @@ std::uint64_t composed_capacity(int k, int copies) {
 
 ComposedElectionReport run_composed_election(int k, int copies, int n,
                                              sim::Scheduler& scheduler,
-                                             const sim::CrashPlan& crashes) {
+                                             const sim::FaultPlan& faults) {
   const std::uint64_t capacity = composed_capacity(k, copies);
   expects(n >= 1 && static_cast<std::uint64_t>(n) <= capacity,
           "process count exceeds ((k-1)!)^copies");
@@ -74,7 +74,7 @@ ComposedElectionReport run_composed_election(int k, int copies, int n,
       report.leaders[static_cast<std::size_t>(pid)] = leader;
     });
   }
-  report.run = env.run(scheduler, crashes);
+  report.run = env.run(scheduler, faults);
 
   std::optional<std::uint64_t> agreed;
   for (int pid = 0; pid < n; ++pid) {

@@ -32,7 +32,7 @@ std::int64_t one_shot_elect(OneShotState& state, sim::Ctx& ctx, int pid,
 }
 
 OneShotReport run_one_shot_election(int k, int n, sim::Scheduler& scheduler,
-                                    const sim::CrashPlan& crashes) {
+                                    const sim::FaultPlan& faults) {
   expects(n >= 1 && n <= k - 1, "one-shot election requires 1 <= n <= k-1");
   OneShotState state(k);
   OneShotReport report;
@@ -45,7 +45,7 @@ OneShotReport run_one_shot_election(int k, int n, sim::Scheduler& scheduler,
           one_shot_elect(state, ctx, pid, 1000 + pid);
     });
   }
-  report.run = env.run(scheduler, crashes);
+  report.run = env.run(scheduler, faults);
   std::int64_t leader = -1;
   for (int pid = 0; pid < n; ++pid) {
     if (report.run.outcomes[static_cast<std::size_t>(pid)] !=

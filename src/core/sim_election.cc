@@ -18,7 +18,7 @@ SimElectionState::SimElectionState(int k) : cas("cas", k) {
 }
 
 SimElectionReport run_sim_election(int k, int n, sim::Scheduler& scheduler,
-                                   const sim::CrashPlan& crashes,
+                                   const sim::FaultPlan& faults,
                                    SimElectionOptions options) {
   expects(n >= 1, "election needs at least one process");
   expects(static_cast<std::uint64_t>(n) <= slot_count(k),
@@ -54,7 +54,7 @@ SimElectionReport run_sim_election(int k, int n, sim::Scheduler& scheduler,
   report.k = k;
   report.processes = n;
   report.id_base = options.id_base;
-  report.run = env.run(scheduler, crashes);
+  report.run = env.run(scheduler, faults);
   report.outcomes = std::move(outcomes);
   report.cas_history = state.cas.history();
   report.cas_total_accesses = state.cas.total_accesses();

@@ -43,8 +43,8 @@ inline constexpr std::string_view kCheckpointSchema = "bss-checkpoint v1";
 /// The result-affecting option fingerprint stored in the artifact.  Resume
 /// rejects a mismatch: exploring half a campaign under one sleep-set rule or
 /// fault budget and half under another would not be byte-identical to
-/// anything.  Scheduling knobs (jobs, steal_depth, shard_depth, checkpoint
-/// cadence) are excluded — they never change results.
+/// anything.  Scheduling knobs (jobs, steal_depth, checkpoint cadence) are
+/// excluded — they never change results.
 struct CheckpointOptions {
   std::uint64_t max_depth = 0;
   int preemption_bound = 0;

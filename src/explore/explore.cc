@@ -103,8 +103,8 @@ struct Frame {
   // violation.  Every disqualifying event marks EVERY open frame, so by the
   // DFS invariant (all execution happens inside every open frame's subtree)
   // a frame's dirty bit is always a statement about its own subtree; unions
-  // of the bit across frame copies (steal splits, shard prefixes) therefore
-  // aggregate commutatively to exactly the serial walk's answer.
+  // of the bit across frame copies (steal splits) therefore aggregate
+  // commutatively to exactly the serial walk's answer.
   std::uint64_t fp_lo = 0;
   std::uint64_t fp_hi = 0;
   bool fp_valid = false;  ///< key computed (fingerprint non-empty)
@@ -128,9 +128,8 @@ struct PassState {
   bool fp_prune = false;
   const FpCache* fp_cache = nullptr;
   /// Subtree floor: advance() never backtracks below this many frames.  0
-  /// for the serial walk and the job enumerator; a worker exploring a
-  /// sharded subtree sets it to its prefix length so the enumerator keeps
-  /// sole ownership of sibling choices above the cut.
+  /// for a pass's root unit; a steal split raises it past the cut, so the
+  /// sibling choices above the cut belong to exactly one other unit.
   std::size_t floor = 0;
 };
 
@@ -150,10 +149,9 @@ struct UnitCheckpoint {
   bool fault_limited = false;
 };
 
-/// Results of one merge unit: either a sharded subtree job or a maximal run
-/// of consecutive inline (enumerator-executed) runs.  Units are merged in
-/// DFS order, which makes the parallel explorer byte-identical to the
-/// serial one.
+/// Results of one unit of the stealing frontier: a contiguous segment of
+/// the pass's DFS.  Units are merged in DFS order, which makes the parallel
+/// explorer byte-identical to the serial one.
 struct UnitResult {
   ExploreStats stats;
   AuditSummary audit;
@@ -169,21 +167,7 @@ struct UnitResult {
   bool fault_limited = false;   ///< a branch was cut by the fault budget
   bool cap_hit = false;         ///< max_schedules fired before some run
   bool stopped = false;         ///< the worker hit its violation quota
-  bool skipped = false;         ///< claimed past the stop barrier, never run
-};
-
-/// A sharded subtree: the frame stack at the moment the enumerator cut the
-/// DFS, `shard_at` frames deep with every `chosen` set.  Sleep sets,
-/// explored-sibling sets and budget counters carry across the cut in the
-/// frames, so a worker replaying the prefix on a private SimEnv explores
-/// the subtree exactly as the serial walk would have.
-struct SubtreeJob {
-  std::vector<Frame> prefix;
-};
-
-struct PassUnit {
-  std::optional<SubtreeJob> job;  ///< nullopt for inline units
-  UnitResult result;
+  bool skipped = false;         ///< past a confirmed stop; results dropped
 };
 
 /// Observability context threaded through the hot loop: the sink (null =
@@ -211,7 +195,7 @@ const std::vector<std::uint64_t>& depth_bounds() {
   return bounds;
 }
 
-/// The max_schedules safety valve, shared across enumerator and workers.
+/// The max_schedules safety valve, shared by every worker of a campaign.
 struct SharedBudget {
   explicit SharedBudget(std::uint64_t cap) : max_schedules(cap) {}
   std::atomic<std::uint64_t> schedules{0};
@@ -528,7 +512,7 @@ bool advance(PassState& pass, UnitResult& unit, Scratch& scratch) {
 /// normally (the below-floor prefix frames advance() never pops).  Their
 /// dirty bits carry whatever this unit's segment of the subtree saw; the
 /// per-key OR across all of a pass's units reassembles total subtree dirt
-/// no matter how steal splits or shard cuts divided the work.
+/// no matter how steal splits divided the work.
 void emit_open_frames(const PassState& pass, UnitResult& unit) {
   for (const Frame& frame : pass.frames) {
     if (frame.fp_valid) {
@@ -566,7 +550,7 @@ bool resolve_fingerprint_prune(const ExploreOptions& options) {
 
 /// Worker-count-independent schedule sampling for the commutation
 /// cross-check: FNV-1a over the canonical decision tape, so the same
-/// schedules are selected no matter how the pass was sharded or merged.
+/// schedules are selected no matter how the pass was split or merged.
 bool commute_sampled(const std::vector<int>& tape, std::uint32_t sample) {
   if (sample == 0) return false;
   if (sample == 1) return true;
@@ -588,26 +572,21 @@ bool any_parked(const sim::SimEnv& env) {
 struct RunOutcome {
   bool pruned = false;
   bool truncated = false;
-  bool sharded = false;  ///< run cut at shard_at decisions; subtree emitted
   std::optional<std::string> violation;
   std::vector<int> decisions;
 };
 
 /// Executes one run: replays the frame-stack prefix, then extends it one
-/// decision at a time until the run completes, is pruned, or — for the job
-/// enumerator, `shard_at > 0` — reaches `shard_at` decisions, at which
-/// point the run is abandoned and the frame stack is the subtree job.
+/// decision at a time until the run completes or is pruned.
 ///
 /// Frame-creation accounting (prune counters, budget/fault-limited flags)
-/// commits to `unit` immediately: the serial run that first descends a path
-/// accounts its frames, and for a sharded run that is exactly the job's
-/// unit.  Execution deltas (transitions, faults, fault points) are buffered
-/// and committed only when the run actually finishes — a sharded run's
-/// prefix execution is re-run (and re-counted) by the worker, exactly as
-/// every serial run re-executes its prefix.
+/// commits to `unit` as each new frame is materialized: the run that first
+/// descends a path accounts its frames.  Execution deltas (transitions,
+/// faults, fault points, audit counters) are buffered and committed once,
+/// when the run ends.
 RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
-                   PassState& pass, UnitResult& unit, std::size_t shard_at,
-                   const ObsCtx& octx, Scratch& scratch) {
+                   PassState& pass, UnitResult& unit, const ObsCtx& octx,
+                   Scratch& scratch) {
   const obs::ScopedPhase step_scope(octx.profiler, obs::Phase::kStep);
   RunOutcome outcome;
   std::uint64_t run_transitions = 0;
@@ -617,9 +596,6 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
   run_fault_points.clear();
   std::optional<audit::Auditor> auditor;
   if (opts.audit) auditor.emplace();
-  // Execution deltas — audit counters included — buffer here and commit
-  // only when the run actually finishes; a sharded run's deltas are dropped
-  // and re-counted by the worker, keeping parallel results byte-identical.
   const auto commit = [&] {
     unit.stats.transitions += run_transitions;
     unit.stats.timer_grants += run_timer_grants;
@@ -654,15 +630,6 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
       truncated = true;
       break;
     }
-    if (shard_at > 0 && depth == shard_at) {
-      // Enumerator cut: the frame stack (every `chosen` set) IS the job.
-      // The buffered execution deltas are dropped — the worker replays this
-      // prefix and counts them, exactly as the serial run would have.
-      env.finish();
-      outcome.sharded = true;
-      return outcome;
-    }
-
     int choice = kNoChoice;
     if (depth < pass.frames.size()) {
       // Prefix replay: the factory is deterministic, so the runnable set
@@ -944,10 +911,9 @@ TapeResult run_tape(const ExplorableSystem& system, const ExploreOptions& opts,
 
 // ------------------------------------------------- parallel pass machinery
 
-/// Per-pass configuration shared by the enumerator and every worker.
+/// Per-pass configuration shared by every worker.
 struct PassConfig {
-  PassState base;          ///< budgets + filter flags; frames empty, floor 0
-  std::size_t shard_at = 0;  ///< 0 = fully inline (serial) pass
+  PassState base;  ///< budgets + filter flags; frames empty, floor 0
   int jobs = 1;
   std::size_t violations_so_far = 0;  ///< result.violations.size() at entry
 };
@@ -959,16 +925,6 @@ struct MergeOutcome {
   bool budget_limited = false;
   bool fault_limited = false;
 };
-
-void fold_unit(UnitResult& into, const UnitResult& from) {
-  into.stats.merge_from(from.stats);
-  into.audit.merge_from(from.audit);
-  into.fault_points.insert(from.fault_points.begin(), from.fault_points.end());
-  into.budget_limited |= from.budget_limited;
-  into.fault_limited |= from.fault_limited;
-  into.fp_partials.insert(into.fp_partials.end(), from.fp_partials.begin(),
-                          from.fp_partials.end());
-}
 
 /// Records a violation plus a checkpoint of the unit's cumulative state, so
 /// the merge can cut this unit exactly at any of its violations.
@@ -1002,256 +958,6 @@ Counterexample build_counterexample(const ExplorableSystem& system,
     octx.shard->counter("shrink.replays") += stats.shrink_runs - shrink_before;
   }
   return cex;
-}
-
-/// Explores one subtree to completion on the calling thread.  `pass.frames`
-/// holds the job prefix (floor set), or is empty for a whole serial pass.
-/// `violation_quota` is the most violations the DFS-ordered merge could
-/// ever take from one unit, so exceeding it stops the worker early.
-void explore_subtree(const ExplorableSystem& system,
-                     const ExploreOptions& opts, PassState pass,
-                     SharedBudget& budget, std::size_t violation_quota,
-                     UnitResult& unit, const ObsCtx& octx) {
-  Scratch scratch;
-  for (;;) {
-    if (budget.exhausted()) {
-      unit.cap_hit = true;
-      break;
-    }
-    RunOutcome outcome = run_one(system, opts, pass, unit, 0, octx, scratch);
-    if (!outcome.pruned) {
-      budget.schedules.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (outcome.violation.has_value()) {
-      record_violation(
-          unit, build_counterexample(system, opts, std::move(outcome),
-                                     unit.stats, octx));
-      if (opts.stop_at_first_violation ||
-          unit.violations.size() >= violation_quota) {
-        unit.stopped = true;
-        break;
-      }
-    }
-    if (!advance(pass, unit, scratch)) {
-      // Normal drain: the below-floor prefix frames never pop, so their
-      // coverage partials are emitted here.  The cap_hit/stopped breaks
-      // above deliberately emit nothing — both end the campaign at the
-      // merge, and explore() discards all partials of an ended pass.
-      emit_open_frames(pass, unit);
-      break;
-    }
-  }
-}
-
-/// Runs one (budget pair) pass: a serial enumerator walks the DFS to
-/// `cfg.shard_at` decisions, emitting subtree jobs and executing shallow
-/// runs inline (consecutive inline runs coalesce into one unit; a job
-/// breaks the chain, preserving DFS order); then a worker pool drains the
-/// jobs.  A mutex-guarded completion frontier confirms deterministic stops
-/// as early as possible and raises a barrier so jobs past it are skipped
-/// (the merge never reads them).
-std::vector<PassUnit> run_pass(const ExplorableSystem& system,
-                               const ExploreOptions& opts,
-                               const PassConfig& cfg, SharedBudget& budget) {
-  std::vector<PassUnit> units;
-  const auto inline_unit = [&]() -> UnitResult& {
-    if (units.empty() || units.back().job.has_value()) {
-      units.emplace_back();
-    }
-    return units.back().result;
-  };
-  const std::size_t quota =
-      opts.max_violations > cfg.violations_so_far
-          ? opts.max_violations - cfg.violations_so_far
-          : 1;
-
-  obs::ObsSink* sink = opts.telemetry;
-  const ObsCtx coordinator = make_obs_ctx(sink, obs::Event::kCoordinator);
-  const bool spans = sink != nullptr && sink->timeline_enabled();
-  const std::uint64_t enumerate_begin = spans ? sink->now_ns() : 0;
-
-  PassState pass = cfg.base;
-  Scratch arena;
-  // Coverage partials the enumerator's advance() emits as it pops frames.
-  // Which unit carries a partial is irrelevant to the per-key aggregation
-  // (commutative OR), so they collect here and fold into the last inline
-  // unit once the walk ends.
-  UnitResult drained;
-  std::size_t inline_recorded = 0;
-  for (;;) {
-    if (budget.exhausted()) {
-      inline_unit().cap_hit = true;
-      break;
-    }
-    UnitResult fresh;
-    RunOutcome outcome =
-        run_one(system, opts, pass, fresh, cfg.shard_at, coordinator, arena);
-    if (outcome.sharded) {
-      PassUnit u;
-      u.job = SubtreeJob{pass.frames};  // snapshot; the enumerator walks on
-      u.result = std::move(fresh);      // frame accounting for the prefix
-      units.push_back(std::move(u));
-      if (!advance(pass, drained, arena)) break;
-      continue;
-    }
-    UnitResult& unit = inline_unit();
-    fold_unit(unit, fresh);
-    if (!outcome.pruned) {
-      budget.schedules.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (outcome.violation.has_value()) {
-      record_violation(
-          unit, build_counterexample(system, opts, std::move(outcome),
-                                     unit.stats, coordinator));
-      ++inline_recorded;
-      // Units before this one may already satisfy the stop policy — the
-      // merge decides exactly.  But once inline violations alone satisfy
-      // it, enumerating further units could only produce discarded work.
-      if (opts.stop_at_first_violation ||
-          cfg.violations_so_far + inline_recorded >= opts.max_violations) {
-        unit.stopped = true;
-        break;
-      }
-    }
-    if (!advance(pass, drained, arena)) break;
-  }
-  if (!drained.fp_partials.empty()) fold_unit(inline_unit(), drained);
-
-  if (spans) {
-    obs::Span span;
-    span.name = "enumerate";
-    span.track = obs::Timeline::kCoordinatorTrack;
-    span.begin_ns = enumerate_begin;
-    span.end_ns = sink->now_ns();
-    span.args.emplace_back("units", std::to_string(units.size()));
-    sink->record_span(std::move(span));
-  }
-
-  std::vector<std::size_t> job_indices;
-  for (std::size_t i = 0; i < units.size(); ++i) {
-    if (units[i].job.has_value()) job_indices.push_back(i);
-  }
-  if (job_indices.empty()) return units;
-
-  // Completion frontier: as the maximal complete unit prefix grows, replay
-  // the merge's stop rule over it; on a confirmed stop at unit k, every job
-  // with index > k is skippable — the merge will never reach it.
-  std::mutex mu;
-  std::vector<char> complete(units.size(), 0);
-  std::size_t frontier = 0;
-  std::size_t frontier_violations = cfg.violations_so_far;
-  std::atomic<std::size_t> barrier{units.size()};
-  std::atomic<std::size_t> next{0};
-  std::exception_ptr error;
-
-  const auto walk_frontier = [&] {  // mu held
-    while (frontier < units.size() && complete[frontier] != 0) {
-      const UnitResult& unit = units[frontier].result;
-      bool stops = unit.cap_hit;
-      if (!unit.skipped) {
-        for (std::size_t i = 0; i < unit.violations.size() && !stops; ++i) {
-          ++frontier_violations;
-          if (opts.stop_at_first_violation ||
-              frontier_violations >= opts.max_violations) {
-            stops = true;
-          }
-        }
-      }
-      if (stops) {
-        std::size_t cur = barrier.load(std::memory_order_relaxed);
-        while (cur > frontier &&
-               !barrier.compare_exchange_weak(cur, frontier,
-                                              std::memory_order_release)) {
-        }
-      }
-      ++frontier;
-    }
-  };
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    for (std::size_t i = 0; i < units.size(); ++i) {
-      if (!units[i].job.has_value()) complete[i] = 1;
-    }
-    walk_frontier();
-  }
-
-  const auto worker = [&](int worker_index) {
-    try {
-      const ObsCtx octx = make_obs_ctx(sink, worker_index);
-      const bool events = sink != nullptr && sink->events_enabled();
-      std::uint64_t claims = 0;
-      if (events) {
-        obs::Event event;
-        event.kind = "worker.start";
-        event.worker = worker_index;
-        sink->emit(std::move(event));
-      }
-      for (;;) {
-        const std::size_t j = next.fetch_add(1, std::memory_order_relaxed);
-        if (j >= job_indices.size()) break;
-        const std::size_t u = job_indices[j];
-        const bool past_barrier = u > barrier.load(std::memory_order_acquire);
-        if (events) {
-          obs::Event event;
-          event.kind = "worker.claim";
-          event.step = claims;
-          event.worker = worker_index;
-          event.fields.emplace_back("unit", std::to_string(u));
-          event.fields.emplace_back("skipped", past_barrier ? "1" : "0");
-          sink->emit(std::move(event));
-        }
-        ++claims;
-        if (past_barrier) {
-          units[u].result.skipped = true;
-        } else {
-          const std::uint64_t job_begin = spans ? sink->now_ns() : 0;
-          PassState sub = cfg.base;
-          sub.frames = std::move(units[u].job->prefix);
-          sub.floor = sub.frames.size();
-          explore_subtree(system, opts, std::move(sub), budget, quota,
-                          units[u].result, octx);
-          if (spans) {
-            obs::Span span;
-            span.name = "job";
-            span.track = worker_index;
-            span.begin_ns = job_begin;
-            span.end_ns = sink->now_ns();
-            span.args.emplace_back("unit", std::to_string(u));
-            span.args.emplace_back(
-                "schedules",
-                std::to_string(units[u].result.stats.schedules));
-            sink->record_span(std::move(span));
-          }
-        }
-        std::lock_guard<std::mutex> lock(mu);
-        complete[u] = 1;
-        walk_frontier();
-      }
-      if (events) {
-        obs::Event event;
-        event.kind = "worker.finish";
-        event.step = claims;
-        event.worker = worker_index;
-        sink->emit(std::move(event));
-      }
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mu);
-      if (!error) error = std::current_exception();
-    }
-  };
-
-  const std::size_t workers =
-      std::min<std::size_t>(static_cast<std::size_t>(std::max(cfg.jobs, 1)),
-                            job_indices.size());
-  std::vector<std::thread> threads;
-  threads.reserve(workers - 1);
-  for (std::size_t i = 1; i < workers; ++i) {
-    threads.emplace_back(worker, static_cast<int>(i));
-  }
-  worker(0);  // the calling thread is worker 0
-  for (auto& t : threads) t.join();
-  if (error) std::rethrow_exception(error);
-  return units;
 }
 
 /// Folds ONE unit into `result` under the serial explorer's stop rule:
@@ -1337,15 +1043,14 @@ bool merge_one(UnitResult& unit, const ExploreOptions& opts,
 
 /// Folds a pass's units into `result` in DFS order, reproducing the serial
 /// explorer's stop rule exactly via merge_one.
-MergeOutcome merge_pass(std::vector<PassUnit>& units,
+MergeOutcome merge_pass(std::vector<UnitResult>& units,
                         const ExploreOptions& opts, ExploreResult& result,
                         std::set<FaultPoint>& fault_points) {
   MergeOutcome out;
-  for (auto& pass_unit : units) {
-    expects(!pass_unit.result.skipped,
-            "deterministic merge reached a subtree skipped by the barrier");
-    if (merge_one(pass_unit.result, opts, result, fault_points, out,
-                  opts.telemetry)) {
+  for (UnitResult& unit : units) {
+    expects(!unit.skipped,
+            "deterministic merge reached a unit skipped past a stop");
+    if (merge_one(unit, opts, result, fault_points, out, opts.telemetry)) {
       break;
     }
   }
@@ -1390,7 +1095,6 @@ struct StealPool {
   /// a due checkpoint, a confirmed stop, halt, or an error).
   std::atomic<bool> attention{false};
   std::atomic<bool> checkpoint_due{false};
-  std::atomic<std::uint64_t> last_checkpoint_at{0};
   std::list<StealUnit>::iterator frontier;  ///< first non-merged-prefix unit
   std::size_t frontier_violations = 0;
 };
@@ -1560,6 +1264,11 @@ struct CheckpointCtx {
   std::uint64_t seq = 0;
   std::uint64_t written = 0;   ///< all artifacts this explore() call wrote
   std::uint64_t periodic = 0;  ///< periodic (non-final) artifacts only
+  /// Schedule-valve reading at the last periodic write (or campaign start).
+  /// Spans passes, so the checkpoint_every cadence counts claimed schedules
+  /// across pass boundaries: a checkpoint that comes due in a pass's last
+  /// runs is written early in the next pass instead of being dropped.
+  std::atomic<std::uint64_t> last_checkpoint_at{0};
   std::uint64_t pass_ordinal = 0;
   std::uint64_t fault_index = 0;
   std::uint64_t preemption_index = 0;
@@ -1652,7 +1361,7 @@ const char* beat_state_name(int state) {
 }
 
 struct StealPassOutput {
-  std::vector<PassUnit> units;  ///< DFS order, every unit complete
+  std::vector<UnitResult> units;  ///< DFS order, every unit complete
   bool halted = false;          ///< halt_after_checkpoints fired mid-pass
 };
 
@@ -1660,7 +1369,8 @@ struct StealPassOutput {
 /// is a DFS-ordered list of units; idle workers raise the attention flag
 /// and owners split their shallowest splittable frame off for them.  A
 /// frontier walk over the complete-unit prefix confirms deterministic stops
-/// exactly like the static engine's barrier.  With checkpointing on, the
+/// as early as possible: pending units past the stop are skipped and
+/// running owners abandon theirs.  With checkpointing on, the
 /// owner that observes a due checkpoint persists the folded prefix plus the
 /// outstanding frontier snapshots.  `seeds` (non-null on the resumed pass)
 /// re-materializes a persisted frontier instead of starting from the root.
@@ -1684,9 +1394,6 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
   }
   pool.frontier = pool.units.begin();
   pool.frontier_violations = cfg.violations_so_far;
-  pool.last_checkpoint_at.store(
-      budget.schedules.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
 
   obs::ObsSink* sink = opts.telemetry;
   const bool events = sink != nullptr && sink->events_enabled();
@@ -1821,7 +1528,7 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
     ++ckpt->written;
     ++ckpt->periodic;
     if (status != nullptr) status->writer.note_checkpoint();
-    pool.last_checkpoint_at.store(
+    ckpt->last_checkpoint_at.store(
         budget.schedules.load(std::memory_order_relaxed),
         std::memory_order_relaxed);
     if (octx.shard != nullptr) ++octx.shard->counter("explore.checkpoints");
@@ -1959,8 +1666,7 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
             local.cap_hit = true;
             break;
           }
-          RunOutcome outcome =
-              run_one(system, opts, pass, local, 0, octx, scratch);
+          RunOutcome outcome = run_one(system, opts, pass, local, octx, scratch);
           if (!outcome.pruned) {
             if (beat != nullptr) {
               beat->schedules.fetch_add(1, std::memory_order_relaxed);
@@ -1968,7 +1674,7 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
             const std::uint64_t claimed =
                 budget.schedules.fetch_add(1, std::memory_order_relaxed) + 1;
             if (ckpt != nullptr && opts.checkpoint_every > 0 &&
-                claimed - pool.last_checkpoint_at.load(
+                claimed - ckpt->last_checkpoint_at.load(
                               std::memory_order_relaxed) >=
                     opts.checkpoint_every &&
                 !pool.checkpoint_due.exchange(true,
@@ -2123,9 +1829,7 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
   for (auto& unit : pool.units) {
     expects(unit.status == StealUnit::Status::kComplete,
             "stealing pass ended with an incomplete unit");
-    PassUnit pu;
-    pu.result = std::move(unit.result);
-    output.units.push_back(std::move(pu));
+    output.units.push_back(std::move(unit.result));
   }
   return output;
 }
@@ -2143,27 +1847,6 @@ int resolve_jobs(const ExploreOptions& options) {
     return static_cast<int>(std::min<long>(parsed, 64));
   }();
   return env_jobs;
-}
-
-/// Auto shard depth: none when serial; otherwise the smallest depth whose
-/// estimated subtree count (branching ^ depth) yields several jobs per
-/// worker, so the pool load-balances without enumeration dominating.
-std::size_t resolve_shard_depth(const ExploreOptions& options,
-                                const ExplorableSystem& system, int jobs) {
-  if (options.shard_depth >= 0) {
-    return static_cast<std::size_t>(options.shard_depth);
-  }
-  if (jobs <= 1) return 0;
-  const std::uint64_t branching = static_cast<std::uint64_t>(
-      std::max(2, std::min(system.process_count(), 4)));
-  const std::uint64_t target = std::uint64_t{8} * static_cast<unsigned>(jobs);
-  std::uint64_t reach = 1;
-  std::size_t depth = 0;
-  while (depth < 8 && reach < target) {
-    reach *= branching;
-    ++depth;
-  }
-  return depth;
 }
 
 }  // namespace
@@ -2291,14 +1974,9 @@ ExploreResult explore(const ExplorableSystem& system,
   // Resolved here (not at use sites) so CheckpointOptions::key_of sees the
   // effective value — a resume under a different BSS_EXPLORE_FP is caught.
   options.fingerprint_prune = resolve_fingerprint_prune(requested);
-  expects(options.steal ||
-              (options.checkpoint_path.empty() && options.resume_path.empty()),
-          "checkpoint/resume requires the work-stealing engine (steal=true)");
   ExploreResult result;
   result.audit.enabled = options.audit;
   const int jobs = resolve_jobs(options);
-  const std::size_t shard_at =
-      options.steal ? 0 : resolve_shard_depth(options, system, jobs);
 
   obs::ObsSink* sink = options.telemetry;
   const bool events = sink != nullptr && sink->events_enabled();
@@ -2311,9 +1989,7 @@ ExploreResult explore(const ExplorableSystem& system,
     obs::Event event;
     event.kind = "explore.start";
     event.fields.emplace_back("system", system.name());
-    event.fields.emplace_back("engine", options.steal ? "steal" : "static");
     event.fields.emplace_back("jobs", std::to_string(jobs));
-    event.fields.emplace_back("shard_depth", std::to_string(shard_at));
     event.fields.emplace_back("steal_depth",
                               std::to_string(options.steal_depth));
     sink->emit(std::move(event));
@@ -2322,7 +1998,6 @@ ExploreResult explore(const ExplorableSystem& system,
     if (obs::MetricShard* shard =
             sink->metric_shard(obs::Event::kCoordinator)) {
       shard->gauge_max("explore.jobs", static_cast<std::uint64_t>(jobs));
-      shard->gauge_max("explore.shard_depth", shard_at);
     }
   }
 
@@ -2330,7 +2005,7 @@ ExploreResult explore(const ExplorableSystem& system,
   // simplest refutation surfaces; a budget that cut nothing covered the
   // whole space, making larger budgets redundant.  Fault budgets sweep
   // outermost — a zero-fault refutation beats a one-fault one.  Each
-  // (fault, preemption) budget pair is one *pass*: sharding happens within
+  // (fault, preemption) budget pair is one *pass*: stealing happens within
   // a pass, so fewest-fault-first ordering is preserved.
   std::vector<int> preemption_budgets;
   if (options.preemption_bound >= 0 && options.iterative) {
@@ -2430,6 +2105,9 @@ ExploreResult explore(const ExplorableSystem& system,
       options.checkpoint_path.empty() ? nullptr : &ckpt_state;
   if (ckpt != nullptr) {
     ckpt->seq = resume.has_value() ? resume->seq + 1 : 0;
+    ckpt->last_checkpoint_at.store(
+        budget_valve.schedules.load(std::memory_order_relaxed),
+        std::memory_order_relaxed);
     ckpt->merged = &result;
     ckpt->covered = &fault_points;
     if (options.fingerprint_prune) ckpt->fp_cache = &fp_cache;
@@ -2483,7 +2161,6 @@ ExploreResult explore(const ExplorableSystem& system,
       cfg.base.explore_sc = faults_on && options.explore_sc_failures;
       cfg.base.fp_prune = options.fingerprint_prune;
       if (options.fingerprint_prune) cfg.base.fp_cache = &fp_cache;
-      cfg.shard_at = shard_at;
       cfg.jobs = jobs;
       cfg.violations_so_far = result.violations.size();
       if (ckpt != nullptr) {
@@ -2501,19 +2178,14 @@ ExploreResult explore(const ExplorableSystem& system,
             resumed_pass ? &restored_fp_partials : nullptr;
       }
       if (status != nullptr) status->pass_ordinal = this_pass;
-      std::vector<PassUnit> units;
-      if (options.steal) {
-        StealPassOutput out = run_steal_pass(
-            system, options, cfg, budget_valve,
-            resumed_pass ? &resume->frontier : nullptr, ckpt, status);
-        if (out.halted) {
-          halted = true;
-          break;
-        }
-        units = std::move(out.units);
-      } else {
-        units = run_pass(system, options, cfg, budget_valve);
+      StealPassOutput out = run_steal_pass(
+          system, options, cfg, budget_valve,
+          resumed_pass ? &resume->frontier : nullptr, ckpt, status);
+      if (out.halted) {
+        halted = true;
+        break;
       }
+      std::vector<UnitResult>& units = out.units;
       const std::uint64_t merge_begin = spans ? sink->now_ns() : 0;
       MergeOutcome merged;
       {
@@ -2542,14 +2214,14 @@ ExploreResult explore(const ExplorableSystem& system,
       if (options.fingerprint_prune && !cap_hit && !stopped) {
         // Between-pass cache fold: aggregate the pass's coverage partials
         // per key (OR of dirty across every unit — commutative and
-        // idempotent, so steal splits and shard prefixes need no
-        // reconciliation) and admit the keys that aggregate clean.  A clean
-        // key's subtree was explored in full with no budget/fault cut,
-        // truncation or violation anywhere below it — that is the whole
-        // unbounded reachable tree under the node, so pruning it at ANY
-        // later budget loses nothing (which is why budget positions are
-        // excluded from the key).  Passes that end the campaign (cap/stop)
-        // fold nothing: their partials would never be consulted.
+        // idempotent, so steal splits need no reconciliation) and admit the
+        // keys that aggregate clean.  A clean key's subtree was explored in
+        // full with no budget/fault cut, truncation or violation anywhere
+        // below it — that is the whole unbounded reachable tree under the
+        // node, so pruning it at ANY later budget loses nothing (which is
+        // why budget positions are excluded from the key).  Passes that end
+        // the campaign (cap/stop) fold nothing: their partials would never
+        // be consulted.
         std::map<FpKey, bool> aggregated;
         if (resumed_pass) {
           for (const FingerprintPartial& p : restored_fp_partials) {
@@ -2557,8 +2229,8 @@ ExploreResult explore(const ExplorableSystem& system,
             it->second |= p.dirty;
           }
         }
-        for (const PassUnit& u : units) {
-          for (const FingerprintPartial& p : u.result.fp_partials) {
+        for (const UnitResult& u : units) {
+          for (const FingerprintPartial& p : u.fp_partials) {
             auto [it, inserted] = aggregated.try_emplace({p.lo, p.hi}, false);
             it->second |= p.dirty;
           }
@@ -2567,8 +2239,9 @@ ExploreResult explore(const ExplorableSystem& system,
           if (!dirty) fp_cache.insert(key);
         }
       }
-      // Pass-boundary heartbeat (both engines — the static engine has no
-      // in-pass writer thread): cadence-gated so tiny passes don't spam.
+      // Pass-boundary heartbeat: publishes the post-merge totals, which the
+      // in-pass writer thread cannot see.  Cadence-gated so tiny passes
+      // don't spam.
       if (status != nullptr && status->writer.due()) {
         status->writer.write(status->snapshot("running"));
       }
@@ -2637,10 +2310,7 @@ ExploreResult explore(const ExplorableSystem& system,
     }
     obs::ReportBuilder report("explore", "explore()");
     report.set_system(system.name());
-    report.environment("engine", options.steal ? "steal" : "static");
     report.environment("jobs", jobs);
-    report.environment("shard_depth",
-                       static_cast<std::uint64_t>(shard_at));
     report.environment("processes", system.process_count());
     report.option("max_depth", options.max_depth);
     report.option("preemption_bound", options.preemption_bound);

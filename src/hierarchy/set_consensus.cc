@@ -31,7 +31,7 @@ SetConsensusReport finalize(SetConsensusReport report,
 
 SetConsensusReport run_partition_set_consensus(
     int n, int l, const std::vector<std::int64_t>& inputs,
-    sim::Scheduler& scheduler, const sim::CrashPlan& crashes) {
+    sim::Scheduler& scheduler, const sim::FaultPlan& faults) {
   expects(n >= 1 && l >= 1, "set consensus needs n, l >= 1");
   expects(inputs.size() == static_cast<std::size_t>(n),
           "one input per process");
@@ -52,13 +52,13 @@ SetConsensusReport run_partition_set_consensus(
           group.propose(ctx, input);
     });
   }
-  report.run = env.run(scheduler, crashes);
+  report.run = env.run(scheduler, faults);
   return finalize(std::move(report), inputs);
 }
 
 SetConsensusReport run_trivial_set_consensus(
     int n, const std::vector<std::int64_t>& inputs, sim::Scheduler& scheduler,
-    const sim::CrashPlan& crashes) {
+    const sim::FaultPlan& faults) {
   expects(n >= 1, "set consensus needs n >= 1");
   expects(inputs.size() == static_cast<std::size_t>(n),
           "one input per process");
@@ -82,7 +82,7 @@ SetConsensusReport run_trivial_set_consensus(
           board[static_cast<std::size_t>(pid)].read(ctx);
     });
   }
-  report.run = env.run(scheduler, crashes);
+  report.run = env.run(scheduler, faults);
   return finalize(std::move(report), inputs);
 }
 

@@ -206,7 +206,6 @@ class SimEnv {
 
   /// Executes the system to quiescence (all processes finished/crashed) or
   /// to the step limit.  May be called exactly once (and not after start()).
-  /// CrashPlan call sites keep working through the implicit FaultPlan lift.
   RunReport run(Scheduler& scheduler, const FaultPlan& faults = {});
 
   // --- Incremental mode (used by the Section 3 emulation driver) ---
