@@ -217,7 +217,9 @@ ExcessGraph EmulationDriver::excess_for(const Label& label) const {
 
 bool EmulationDriver::can_rebalance(EmulatorState& emulator,
                                     const std::vector<int>& history) {
-  for (Suspension& suspension : suspensions_) {
+  // By index: the swap below appends to suspensions_, which may reallocate.
+  for (std::size_t index = 0; index < suspensions_.size(); ++index) {
+    const Suspension& suspension = suspensions_[index];
     if (suspension.released || suspension.emulator != emulator.id) continue;
     if (!labels_compatible(suspension.label, emulator.label)) continue;
     // Transitions that appeared after this suspension.
@@ -252,16 +254,18 @@ bool EmulationDriver::can_rebalance(EmulatorState& emulator,
                             suspension.to, emulator.label, history.size(),
                             false});
     ++stats_.suspensions;
-    suspension.released = true;
-    successes_.emplace_back(emulator.label, suspension.from, suspension.to);
-    vp_suspended_[static_cast<std::size_t>(suspension.vp)] = false;
+    // `suspension` may dangle now; index the released one afresh.
+    Suspension& released = suspensions_[index];
+    released.released = true;
+    successes_.emplace_back(emulator.label, released.from, released.to);
+    vp_suspended_[static_cast<std::size_t>(released.vp)] = false;
     ++stats_.releases;
     events_.push_back({EmuEventKind::kRelease, emulator.id, emulator.label,
-                       "release vp" + std::to_string(suspension.vp) + " cas(" +
-                           std::to_string(suspension.from) + "->" +
-                           std::to_string(suspension.to) + ")"});
-    env_.inject(suspension.vp, suspension.from);  // success returns `from`
-    step_vp(emulator, suspension.vp);
+                       "release vp" + std::to_string(released.vp) + " cas(" +
+                           std::to_string(released.from) + "->" +
+                           std::to_string(released.to) + ")"});
+    env_.inject(released.vp, released.from);  // success returns `from`
+    step_vp(emulator, released.vp);
     return true;
   }
   return false;

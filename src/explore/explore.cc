@@ -1085,6 +1085,7 @@ struct StealPool {
   std::condition_variable cv;
   std::list<StealUnit> units;
   std::size_t idle = 0;     ///< workers blocked waiting for a pending unit
+  std::size_t pending = 0;  ///< units no worker has claimed yet
   std::size_t running = 0;  ///< units currently owned by a worker
   bool stop_confirmed = false;
   bool halt = false;  ///< halt_after_checkpoints fired (SIGKILL stand-in)
@@ -1392,6 +1393,9 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
   } else {
     pool.units.emplace_back();  // the root unit: empty frames, floor 0
   }
+  for (const StealUnit& unit : pool.units) {
+    if (unit.status == StealUnit::Status::kPending) ++pool.pending;
+  }
   pool.frontier = pool.units.begin();
   pool.frontier_violations = cfg.violations_so_far;
 
@@ -1410,9 +1414,12 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
     beats = std::make_unique<WorkerBeat[]>(static_cast<std::size_t>(nworkers));
   }
 
+  // Idle workers already covered by a pending unit (woken, not yet back on
+  // a CPU) need no split; counting them would split again at every run
+  // boundary for as long as they wait for a CPU.
   const auto refresh_attention = [&] {  // pool.mu held
     pool.attention.store(
-        pool.idle > 0 ||
+        pool.idle > pool.pending ||
             pool.checkpoint_due.load(std::memory_order_relaxed) ||
             pool.stop_confirmed || pool.halt || pool.abort_all,
         std::memory_order_release);
@@ -1441,6 +1448,7 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
         pool.stop_confirmed = true;
         for (auto it = pool.frontier; it != pool.units.end(); ++it) {
           if (it->status == StealUnit::Status::kPending) {
+            --pool.pending;
             it->status = StealUnit::Status::kComplete;
             it->result = UnitResult{};
             it->result.skipped = true;
@@ -1588,6 +1596,7 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
             break;
           }
           self->status = StealUnit::Status::kRunning;
+          --pool.pending;
           ++pool.running;
           pass.frames = self->frames;
           pass.floor = self->floor;
@@ -1620,12 +1629,11 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
             } else if (self->abort) {
               aborted = true;
             } else {
-              std::size_t splits = 0;
-              while (splits < pool.idle) {
+              while (pool.pending < pool.idle) {
                 StealUnit thief;
                 if (!try_split(pass, steal_depth, thief)) break;
                 pool.units.insert(std::next(self), std::move(thief));
-                ++splits;
+                ++pool.pending;
                 if (octx.shard != nullptr) {
                   ++octx.shard->counter("explore.steals");
                 }

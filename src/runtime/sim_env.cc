@@ -1,12 +1,143 @@
 #include "runtime/sim_env.h"
 
+#include <sys/mman.h>
+#include <ucontext.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstdlib>
 #include <sstream>
+#include <system_error>
 #include <utility>
 
 #include "obs/obs.h"
 #include "util/checked.h"
 
+// Sanitizer fiber hooks, compiled in exactly when the sanitizer is.
+#if defined(__SANITIZE_ADDRESS__)
+#define BSS_ASAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define BSS_ASAN_FIBERS 1
+#endif
+#endif
+#if defined(__SANITIZE_THREAD__)
+#define BSS_TSAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define BSS_TSAN_FIBERS 1
+#endif
+#endif
+#ifdef BSS_ASAN_FIBERS
+#include <sanitizer/common_interface_defs.h>
+#endif
+#ifdef BSS_TSAN_FIBERS
+#include <sanitizer/tsan_interface.h>
+#endif
+
 namespace bss::sim {
+
+namespace {
+
+/// Usable bytes of every fiber stack.  Only the pages a body touches become
+/// resident; see DESIGN.md for the measured high-water marks.
+constexpr std::size_t kStackBytes = 64 * 1024;
+
+std::size_t page_bytes() {
+  static const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  return page;
+}
+
+/// The process launch() is starting on this OS thread: makecontext passes
+/// its entry function nothing but ints, so the entry picks it up here.
+thread_local Ctx* launching = nullptr;
+
+}  // namespace
+
+/// A fiber: a stack of kStackBytes above a PROT_NONE guard page (an
+/// overflow faults instead of running into a neighbouring mapping), and the
+/// context saved while its process is switched out.  Ended fibers go back to
+/// a per-OS-thread pool, so a warm thread maps no stacks at all.
+struct SimEnv::Fiber {
+  Fiber() {
+    expects(getcontext(&context) == 0, "SimEnv: getcontext failed");
+    mapping = mmap(nullptr, mapping_bytes(), PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+    if (mapping == MAP_FAILED) {
+      throw std::system_error(errno, std::generic_category(),
+                              "SimEnv: mmap of a fiber stack");
+    }
+    if (mprotect(mapping, page_bytes(), PROT_NONE) != 0) {
+      const int error = errno;
+      munmap(mapping, mapping_bytes());
+      throw std::system_error(error, std::generic_category(),
+                              "SimEnv: fiber stack guard page");
+    }
+  }
+  ~Fiber() { munmap(mapping, mapping_bytes()); }
+  Fiber(const Fiber&) = delete;
+  Fiber& operator=(const Fiber&) = delete;
+
+  /// A fiber from this thread's pool (or a fresh one) whose next resume
+  /// enters `entry` on an empty stack.
+  static std::unique_ptr<Fiber> take(void (*entry)()) {
+    auto& pool = free_list();
+    std::unique_ptr<Fiber> fiber;
+    if (pool.empty()) {
+      fiber = std::make_unique<Fiber>();
+    } else {
+      fiber = std::move(pool.back());
+      pool.pop_back();
+    }
+    fiber->context.uc_stack.ss_sp = fiber->stack();
+    fiber->context.uc_stack.ss_size = kStackBytes;
+    fiber->context.uc_link = nullptr;
+    makecontext(&fiber->context, entry, 0);
+#ifdef BSS_TSAN_FIBERS
+    fiber->tsan_fiber = __tsan_create_fiber(0);
+#endif
+    return fiber;
+  }
+
+  /// Returns a fiber whose process has ended to this thread's pool.
+  static void put_back(std::unique_ptr<Fiber> fiber) {
+#ifdef BSS_TSAN_FIBERS
+    __tsan_destroy_fiber(fiber->tsan_fiber);
+#endif
+    free_list().push_back(std::move(fiber));
+  }
+
+  void* stack() const { return static_cast<char*>(mapping) + page_bytes(); }
+
+  void* mapping = nullptr;
+  ucontext_t context{};
+#ifdef BSS_ASAN_FIBERS
+  void* fake_stack = nullptr;  // ASan's fake frames while switched out
+#endif
+#ifdef BSS_TSAN_FIBERS
+  void* tsan_fiber = nullptr;
+#endif
+
+ private:
+  static std::size_t mapping_bytes() { return kStackBytes + page_bytes(); }
+  static std::vector<std::unique_ptr<Fiber>>& free_list() {
+    thread_local std::vector<std::unique_ptr<Fiber>> pool;
+    return pool;
+  }
+};
+
+/// The context of whoever drives this SimEnv, saved while a process runs.
+struct SimEnv::Engine {
+  ucontext_t context{};
+#ifdef BSS_ASAN_FIBERS
+  void* fake_stack = nullptr;
+  const void* stack_bottom = nullptr;  // learned as each fiber switches in
+  std::size_t stack_size = 0;
+#endif
+#ifdef BSS_TSAN_FIBERS
+  void* tsan_fiber = nullptr;
+#endif
+};
 
 int RunReport::finished_count() const {
   int n = 0;
@@ -114,14 +245,11 @@ bool Ctx::take_sc_failure() {
 SimEnv::SimEnv(SimOptions options) : options_(options) {}
 
 SimEnv::~SimEnv() {
-  // If run() threw (e.g. a scheduler bug), threads may still be parked.
-  for (auto& proc : procs_) {
-    if (proc.thread.joinable()) {
-      if (proc.state != State::kDone) {
-        proc.crash_requested = true;
-        proc.go->release();
-      }
-      proc.thread.join();
+  // If run() threw (e.g. a scheduler bug), processes may still be parked:
+  // unwind each one on its fiber so its destructors run.
+  for (int pid = 0; pid < static_cast<int>(procs_.size()); ++pid) {
+    if (procs_[static_cast<std::size_t>(pid)].state == State::kReady) {
+      crash(pid, false);
     }
   }
 }
@@ -171,7 +299,16 @@ bool SimEnv::restart_supported(int pid) const {
   return static_cast<bool>(restart_hooks_[static_cast<std::size_t>(pid)]);
 }
 
-void SimEnv::thread_main(int pid) {
+void SimEnv::fiber_entry() {
+  Ctx& ctx = *launching;
+  ctx.env_->fiber_main(ctx.pid_);
+}
+
+void SimEnv::fiber_main(int pid) {
+#ifdef BSS_ASAN_FIBERS
+  __sanitizer_finish_switch_fiber(nullptr, &engine_->stack_bottom,
+                                  &engine_->stack_size);
+#endif
   Proc& proc = procs_[static_cast<std::size_t>(pid)];
   for (;;) {
     try {
@@ -185,9 +322,9 @@ void SimEnv::thread_main(int pid) {
       if (proc.restart_requested) {
         // Crash-restart: the unwound stack took every private local with
         // it; shared registers persist untouched.  Re-enter through the
-        // restart hook — the engine is blocked on arrived_ until the new
-        // incarnation parks at its first shared operation (or finishes),
-        // so the re-entry stays serialized like the initial launch.
+        // restart hook on the same fiber — the engine waits in resume()
+        // until the new incarnation parks at its first shared operation
+        // (or finishes), so the re-entry stays serialized like the launch.
         proc.restart_requested = false;
         proc.crash_requested = false;
         proc.injection.reset();
@@ -207,36 +344,92 @@ void SimEnv::thread_main(int pid) {
     break;
   }
   proc.state = State::kDone;
-  arrived_.release();
+  yield(*proc.fiber, true);
+  std::abort();  // an ended fiber is never resumed
 }
 
 void SimEnv::park(int pid, OpDesc desc) {
   Proc& proc = procs_[static_cast<std::size_t>(pid)];
   proc.pending = std::move(desc);
   proc.state = State::kReady;
-  arrived_.release();
-  proc.go->acquire();
+  yield(*proc.fiber, false);
   if (proc.crash_requested) throw ProcessCrashed{};
+}
+
+void SimEnv::resume(int pid) {
+  Proc& proc = procs_[static_cast<std::size_t>(pid)];
+  Fiber& fiber = *proc.fiber;
+#ifdef BSS_TSAN_FIBERS
+  engine_->tsan_fiber = __tsan_get_current_fiber();
+  __tsan_switch_to_fiber(fiber.tsan_fiber, 0);
+#endif
+#ifdef BSS_ASAN_FIBERS
+  __sanitizer_start_switch_fiber(&engine_->fake_stack, fiber.stack(),
+                                 kStackBytes);
+#endif
+  swapcontext(&engine_->context, &fiber.context);
+#ifdef BSS_ASAN_FIBERS
+  __sanitizer_finish_switch_fiber(engine_->fake_stack, nullptr, nullptr);
+#endif
+  if (proc.state == State::kDone) Fiber::put_back(std::move(proc.fiber));
+}
+
+void SimEnv::yield(Fiber& fiber, [[maybe_unused]] bool exiting) {
+#ifdef BSS_TSAN_FIBERS
+  __tsan_switch_to_fiber(engine_->tsan_fiber, 0);
+#endif
+#ifdef BSS_ASAN_FIBERS
+  // Leaving for good releases the fiber's fake stack.
+  __sanitizer_start_switch_fiber(exiting ? nullptr : &fiber.fake_stack,
+                                 engine_->stack_bottom, engine_->stack_size);
+#endif
+  swapcontext(&fiber.context, &engine_->context);
+#ifdef BSS_ASAN_FIBERS
+  __sanitizer_finish_switch_fiber(fiber.fake_stack, &engine_->stack_bottom,
+                                  &engine_->stack_size);
+#endif
+}
+
+void SimEnv::grant(int pid, const OpDesc& granted) {
+  Proc& proc = procs_[static_cast<std::size_t>(pid)];
+  proc.last_result.reset();
+  proc.state = State::kRunning;
+  window_pid_ = pid;
+  if (observer_ != nullptr) observer_->on_window_begin(pid, granted, step_);
+  resume(pid);  // the process parked again or ended
+  window_pid_ = -1;
+  if (observer_ != nullptr) {
+    observer_->on_window_end(
+        pid, proc.state == State::kDone && proc.outcome != ProcOutcome::kFinished);
+  }
+}
+
+void SimEnv::crash(int pid, bool restart) {
+  Proc& proc = procs_[static_cast<std::size_t>(pid)];
+  proc.restart_requested = restart;
+  proc.crash_requested = true;
+  resume(pid);  // unwound and ended, or re-entered and parked again
 }
 
 void SimEnv::launch() {
   const int n = process_count();
   expects(n > 0, "SimEnv started with no processes");
   procs_.resize(static_cast<std::size_t>(n));
+  engine_ = std::make_unique<Engine>();
   for (int pid = 0; pid < n; ++pid) {
-    Proc& proc = procs_[static_cast<std::size_t>(pid)];
-    proc.ctx = std::unique_ptr<Ctx>(new Ctx(this, pid));
-    proc.go = std::make_unique<std::binary_semaphore>(0);
+    procs_[static_cast<std::size_t>(pid)].ctx =
+        std::unique_ptr<Ctx>(new Ctx(this, pid));
   }
-  // Launch only after procs_ is fully built (threads index into it), and one
+  // Launch only after procs_ is fully built (fibers index into it), and one
   // at a time: each process runs to its first sync point (or completion)
   // before the next starts, so body code ahead of the first shared operation
-  // never executes concurrently — objects may touch shared state anywhere
-  // inside an operation's implementation.
+  // never interleaves — objects may touch shared state anywhere inside an
+  // operation's implementation.
   for (int pid = 0; pid < n; ++pid) {
-    procs_[static_cast<std::size_t>(pid)].thread =
-        std::thread([this, pid] { thread_main(pid); });
-    arrived_.acquire();
+    Proc& proc = procs_[static_cast<std::size_t>(pid)];
+    proc.fiber = Fiber::take(&SimEnv::fiber_entry);
+    launching = proc.ctx.get();
+    resume(pid);
   }
 }
 
@@ -278,17 +471,7 @@ TraceEvent SimEnv::step_process(int pid) {
   Proc& proc = procs_[static_cast<std::size_t>(pid)];
   expects(proc.state == State::kReady, "step_process: process is not parked");
   const OpDesc granted = proc.pending;
-  proc.last_result.reset();
-  proc.state = State::kRunning;
-  window_pid_ = pid;
-  if (observer_ != nullptr) observer_->on_window_begin(pid, granted, step_);
-  proc.go->release();
-  arrived_.acquire();
-  window_pid_ = -1;
-  if (observer_ != nullptr) {
-    observer_->on_window_end(
-        pid, proc.state == State::kDone && proc.outcome != ProcOutcome::kFinished);
-  }
+  grant(pid, granted);
   TraceEvent event;
   event.step = step_++;
   event.pid = pid;
@@ -305,9 +488,7 @@ void SimEnv::kill_process(int pid) {
   Proc& proc = procs_[static_cast<std::size_t>(pid)];
   if (proc.state != State::kReady) return;
   note_fault_event("sim.crash", pid);
-  proc.crash_requested = true;
-  proc.go->release();
-  arrived_.acquire();
+  crash(pid, false);
 }
 
 void SimEnv::restart_process(int pid) {
@@ -315,10 +496,7 @@ void SimEnv::restart_process(int pid) {
   expects(proc.state == State::kReady, "restart_process: process is not parked");
   expects(restart_supported(pid), "restart_process: process has no restart hook");
   note_fault_event("sim.restart", pid);
-  proc.restart_requested = true;
-  proc.crash_requested = true;
-  proc.go->release();
-  arrived_.acquire();  // the restarted incarnation parked (or finished)
+  crash(pid, true);
 }
 
 void SimEnv::inject_sc_failure(int pid) {
@@ -367,9 +545,6 @@ void SimEnv::finish() {
   finished_ = true;
   finishing_ = true;  // shutdown kills are not fault injections
   for (int pid = 0; pid < process_count(); ++pid) kill_process(pid);
-  for (auto& proc : procs_) {
-    if (proc.thread.joinable()) proc.thread.join();
-  }
 }
 
 RunReport SimEnv::run(Scheduler& scheduler, const FaultPlan& faults) {
@@ -391,20 +566,13 @@ RunReport SimEnv::run(Scheduler& scheduler, const FaultPlan& faults) {
   for (int pid = 0; pid < n; ++pid) refresh_view(pid);
 
   const auto kill = [&](int pid) {
-    Proc& proc = procs_[static_cast<std::size_t>(pid)];
-    proc.crash_requested = true;
-    proc.go->release();
-    arrived_.acquire();  // thread unwinds, marks kDone, re-releases
+    crash(pid, false);
     refresh_view(pid);
   };
   const auto restart = [&](int pid) {
-    Proc& proc = procs_[static_cast<std::size_t>(pid)];
     expects(restart_supported(pid),
             "fault plan restarts a process without a restart hook");
-    proc.restart_requested = true;
-    proc.crash_requested = true;
-    proc.go->release();
-    arrived_.acquire();  // the restarted incarnation parked (or finished)
+    crash(pid, true);
     refresh_view(pid);
   };
 
@@ -462,17 +630,7 @@ RunReport SimEnv::run(Scheduler& scheduler, const FaultPlan& faults) {
         faults.should_fail_sc(pid, sc_granted[static_cast<std::size_t>(pid)]++)) {
       proc.sc_failure_pending = true;
     }
-    proc.last_result.reset();
-    proc.state = State::kRunning;
-    window_pid_ = pid;
-    if (observer_ != nullptr) observer_->on_window_begin(pid, granted, step_);
-    proc.go->release();
-    arrived_.acquire();  // the process parked again or finished
-    window_pid_ = -1;
-    if (observer_ != nullptr) {
-      observer_->on_window_end(pid, proc.state == State::kDone &&
-                                        proc.outcome != ProcOutcome::kFinished);
-    }
+    grant(pid, granted);
     proc.sc_failure_pending = false;  // a fault the op did not consume lapses
 
     if (options_.record_trace) {
@@ -489,8 +647,6 @@ RunReport SimEnv::run(Scheduler& scheduler, const FaultPlan& faults) {
     ++step_;
     refresh_view(pid);
   }
-
-  for (auto& proc : procs_) proc.thread.join();
 
   report = snapshot_report();
   report.step_limit_hit = limit_hit;

@@ -32,20 +32,27 @@
 // so sleep-set POR and the access-ledger audit stay sound: two reads of the
 // clock commute, everything else on @clock conflicts.
 //
-// Implementation: each process runs on its own std::thread but is gated by a
-// binary semaphore; the engine holds a counting semaphore that each process
-// releases when it reaches its next sync point (or finishes).  The threads
-// are a control-flow convenience only — there is no actual data parallelism.
+// Implementation: each process runs on a fiber (a makecontext/swapcontext
+// user-space context) driven from the thread that calls run(), start() or
+// step_process(); no other OS thread is ever involved.  A grant resumes the
+// grantee's fiber from the SimEnv's engine context, and the fiber switches
+// back when it reaches its next sync point or finishes — Ctx::sync() is the
+// only switch point.  Kills and crash-restarts resume a parked fiber with
+// crash_requested set, so ProcessCrashed unwinds entirely on the fiber's own
+// stack.  Fiber stacks (mmap'd, with a PROT_NONE guard page below them) come
+// from a per-OS-thread pool and go back to it as each process ends.  A SimEnv
+// must be driven from one thread for its whole life.
+//
+// Rule for process bodies: never call Ctx::sync() (any shared operation)
+// inside a catch handler.  The C++ runtime keeps its caught-exception stack
+// per OS thread, so fibers interleaving inside handlers would corrupt it.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
-#include <semaphore>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "audit/ledger.h"
@@ -267,11 +274,12 @@ class SimEnv {
     kDone,     // finished, crashed or failed
   };
 
+  struct Fiber;   // a pooled fiber stack and its saved context (sim_env.cc)
+  struct Engine;  // the engine's saved context (sim_env.cc)
+
   struct Proc {
-    std::function<void(Ctx&)> body;
     std::unique_ptr<Ctx> ctx;
-    std::unique_ptr<std::binary_semaphore> go;
-    std::thread thread;
+    std::unique_ptr<Fiber> fiber;  // null before launch and once kDone
     State state = State::kCreated;
     bool crash_requested = false;
     bool restart_requested = false;   // with crash_requested: unwind + re-enter
@@ -284,10 +292,23 @@ class SimEnv {
     std::string error;
   };
 
-  void thread_main(int pid);
+  // Entry point of every fiber: runs the process launch() is starting.
+  static void fiber_entry();
+  // The process's whole life on its fiber: body, restarts, final switch out.
+  void fiber_main(int pid);
   // Ctx::sync body: park the calling process and hand control to the engine.
   void park(int pid, OpDesc desc);
-  void launch();  // build procs_ and serially start the threads
+  // Engine side: runs `pid` until it parks again or ends; pools its stack
+  // once it has ended.
+  void resume(int pid);
+  // Fiber side: switches back to the engine (for good when `exiting`).
+  void yield(Fiber& fiber, bool exiting);
+  // Grants the parked `pid` one operation inside an access window.
+  void grant(int pid, const OpDesc& granted);
+  // Unwinds the parked `pid`: fail-stop, or re-entry through its restart
+  // hook when `restart`.
+  void crash(int pid, bool restart);
+  void launch();  // build procs_ and start each process up to its first sync
 
   // Emits a sim.* fault-injection event through obs_sink_ (no-op when
   // detached or during finish()'s shutdown kills).
@@ -301,7 +322,7 @@ class SimEnv {
   std::vector<std::function<void(Ctx&)>> bodies_;
   std::vector<std::function<void(Ctx&)>> restart_hooks_;  // empty = fail-stop only
   std::vector<Proc> procs_;
-  std::counting_semaphore<> arrived_{0};
+  std::unique_ptr<Engine> engine_;
   Trace trace_;
   std::vector<int> decisions_;
   std::uint64_t step_ = 0;

@@ -31,8 +31,12 @@ namespace {
 
 using core::OneShotMutant;
 
+/// Prefixed with the running test's name: ctest runs each test as its own
+/// process, concurrently, and tests sharing a file would race on it.
 std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return ::testing::TempDir() + "/" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         "_" + name;
 }
 
 std::string read_file(const std::string& path) {

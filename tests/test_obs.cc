@@ -705,8 +705,15 @@ TEST(StatusArtifact, ValidatorRejectsNegativeTimingFields) {
 
 // ---------------------------------------------------------- status writer
 
+/// Prefixed with the running test's name: ctest runs each test as its own
+/// process, concurrently, and tests sharing a file would race on it.
 std::string temp_status_path(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
+  return (std::filesystem::temp_directory_path() /
+          (std::string(::testing::UnitTest::GetInstance()
+                           ->current_test_info()
+                           ->name()) +
+           "_" + name))
+      .string();
 }
 
 TEST(StatusWriterTest, DisabledWriterIsANoOp) {

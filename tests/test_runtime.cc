@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <filesystem>
+#include <stdexcept>
+#include <thread>
+
 #include "core/election_validator.h"
 #include "core/sim_election.h"
 #include "registers/mwmr_register.h"
@@ -425,6 +430,245 @@ TEST(VirtualTime, RestartAbandonsParkedTimerWithoutFiringIt) {
   EXPECT_EQ(done.peek(), 7);
   const RunReport report = env.snapshot_report();
   EXPECT_EQ(report.restarts_by_pid[0], 1);
+}
+
+// ------------------------------------------------------------ the substrate
+// Processes are fibers on the calling thread (sim_env.h "Implementation").
+// These pin that structurally — which thread runs a body, that unwinding
+// runs destructors on every path, that engines stay independent — with no
+// timing threshold.
+
+/// Entries of /proc/self/task: the OS threads of this process.
+std::size_t os_thread_count() {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(Substrate, BodiesRunOnTheCallingThreadAndSpawnNoThreads) {
+  const std::thread::id caller = std::this_thread::get_id();
+  const std::size_t threads_before = os_thread_count();
+  SimEnv env;
+  MwmrRegister<int> reg("r", 0);
+  std::vector<std::thread::id> seen;
+  std::vector<std::size_t> thread_counts;
+  for (int pid = 0; pid < 3; ++pid) {
+    env.add_process([&, pid](Ctx& ctx) {
+      seen.push_back(std::this_thread::get_id());
+      thread_counts.push_back(os_thread_count());
+      reg.write(ctx, pid);
+      seen.push_back(std::this_thread::get_id());
+      thread_counts.push_back(os_thread_count());
+    });
+  }
+  RandomScheduler sched(3);
+  EXPECT_TRUE(env.run(sched).clean());
+  ASSERT_EQ(seen.size(), 6u);
+  for (const std::thread::id id : seen) EXPECT_EQ(id, caller);
+  for (const std::size_t count : thread_counts) {
+    EXPECT_EQ(count, threads_before);
+  }
+  EXPECT_EQ(os_thread_count(), threads_before);
+}
+
+/// Counts its constructions and destructions: a body's RAII witness.
+struct Witness {
+  explicit Witness(std::vector<int>& log, int pid) : log_(log), pid_(pid) {
+    log_.push_back(pid_ + 1);
+  }
+  ~Witness() { log_.push_back(-(pid_ + 1)); }
+  Witness(const Witness&) = delete;
+  Witness& operator=(const Witness&) = delete;
+
+ private:
+  std::vector<int>& log_;
+  int pid_;
+};
+
+/// +pid+1 per construction, -(pid+1) per destruction, both counted for `pid`.
+std::pair<int, int> lifetimes(const std::vector<int>& log, int pid) {
+  int made = 0;
+  int destroyed = 0;
+  for (const int entry : log) {
+    if (entry == pid + 1) ++made;
+    if (entry == -(pid + 1)) ++destroyed;
+  }
+  return {made, destroyed};
+}
+
+TEST(Substrate, FaultPlanCrashRunsBodyDestructorsOnce) {
+  SimEnv env;
+  MwmrRegister<int> reg("r", 0);
+  std::vector<int> log;
+  for (int pid = 0; pid < 2; ++pid) {
+    env.add_process([&, pid](Ctx& ctx) {
+      const Witness witness(log, pid);
+      reg.write(ctx, 1);
+      reg.write(ctx, 2);
+    });
+  }
+  FaultPlan faults;
+  faults.crash_before_op(0, 1);
+  RoundRobinScheduler sched;
+  const RunReport report = env.run(sched, faults);
+  EXPECT_EQ(report.outcomes[0], ProcOutcome::kCrashed);
+  EXPECT_EQ(report.outcomes[1], ProcOutcome::kFinished);
+  EXPECT_EQ(lifetimes(log, 0), std::make_pair(1, 1));
+  EXPECT_EQ(lifetimes(log, 1), std::make_pair(1, 1));
+}
+
+TEST(Substrate, CrashRestartRunsEachIncarnationsDestructorsOnce) {
+  SimEnv env;
+  MwmrRegister<int> reg("r", 0);
+  std::vector<int> log;
+  const auto body = [&](Ctx& ctx) {
+    const Witness witness(log, 0);
+    reg.write(ctx, 1);
+    reg.write(ctx, 2);
+  };
+  env.add_process(body, body);
+  FaultPlan faults;
+  faults.restart_before_op(0, 1);
+  RoundRobinScheduler sched;
+  const RunReport report = env.run(sched, faults);
+  EXPECT_EQ(report.outcomes[0], ProcOutcome::kFinished);
+  EXPECT_EQ(report.restarts_by_pid[0], 1);
+  // The unwound incarnation's witness dies before the restarted one is made.
+  EXPECT_EQ(log, (std::vector<int>{1, -1, 1, -1}));
+}
+
+TEST(Substrate, FinishShutdownKillsRunBodyDestructorsOnce) {
+  SimEnv env;
+  MwmrRegister<int> reg("r", 0);
+  std::vector<int> log;
+  for (int pid = 0; pid < 3; ++pid) {
+    env.add_process([&, pid](Ctx& ctx) {
+      const Witness witness(log, pid);
+      for (int op = 0; op < 4; ++op) reg.write(ctx, op);
+    });
+  }
+  env.start();
+  env.step_process(1);
+  env.step_process(0);
+  env.finish();
+  for (int pid = 0; pid < 3; ++pid) {
+    EXPECT_EQ(env.outcome_of(pid), ProcOutcome::kCrashed);
+    EXPECT_EQ(lifetimes(log, pid), std::make_pair(1, 1)) << "pid " << pid;
+  }
+  env.finish();  // idempotent: nothing left to unwind
+  EXPECT_EQ(log.size(), 6u);
+}
+
+/// Grants round robin, then throws: a scheduler bug in the middle of run().
+class ThrowingScheduler final : public Scheduler {
+ public:
+  explicit ThrowingScheduler(int picks_before_throw)
+      : left_(picks_before_throw) {}
+  int pick(const SchedView& view) override {
+    if (left_-- == 0) throw std::runtime_error("scheduler bug");
+    return inner_.pick(view);
+  }
+  std::string name() const override { return "throwing"; }
+
+ private:
+  int left_;
+  RoundRobinScheduler inner_;
+};
+
+TEST(Substrate, DestructorUnwindsParkedBodiesAfterSchedulerThrows) {
+  std::vector<int> log;
+  MwmrRegister<int> reg("r", 0);
+  {
+    SimEnv env;
+    for (int pid = 0; pid < 3; ++pid) {
+      env.add_process([&, pid](Ctx& ctx) {
+        const Witness witness(log, pid);
+        for (int op = 0; op < 4; ++op) reg.write(ctx, op);
+      });
+    }
+    ThrowingScheduler sched(5);
+    EXPECT_THROW(env.run(sched), std::runtime_error);
+    EXPECT_EQ(log.size(), 3u);  // every body is alive and parked
+  }
+  for (int pid = 0; pid < 3; ++pid) {
+    EXPECT_EQ(lifetimes(log, pid), std::make_pair(1, 1)) << "pid " << pid;
+  }
+}
+
+TEST(Substrate, TwoIncrementalEnvsOnOneThreadStayIndependent) {
+  SimEnv a;
+  SimEnv b;
+  MwmrRegister<int> reg_a("a", 0);
+  MwmrRegister<int> reg_b("b", 100);
+  std::array<std::vector<int>, 2> reads_a;
+  std::array<std::vector<int>, 2> reads_b;
+  for (int pid = 0; pid < 2; ++pid) {
+    a.add_process([&, pid](Ctx& ctx) {
+      for (int op = 0; op < 3; ++op) {
+        reg_a.write(ctx, reg_a.read(ctx) + 1);
+        reads_a[static_cast<std::size_t>(pid)].push_back(reg_a.peek());
+      }
+    });
+    b.add_process([&, pid](Ctx& ctx) {
+      for (int op = 0; op < 2; ++op) {
+        reads_b[static_cast<std::size_t>(pid)].push_back(reg_b.read(ctx));
+        reg_b.write(ctx, reg_b.peek() - 10);
+      }
+    });
+  }
+  a.start();
+  b.start();
+  // Interleave the two engines step by step on this one thread.
+  while (!a.parked_processes().empty() || !b.parked_processes().empty()) {
+    for (SimEnv* env : {&a, &b}) {
+      const std::vector<int> parked = env->parked_processes();
+      if (!parked.empty()) env->step_process(parked.front());
+    }
+  }
+  a.finish();
+  b.finish();
+  // a ran its processes sequentially (pid 0 first): 6 increments, no loss.
+  EXPECT_EQ(reg_a.peek(), 6);
+  EXPECT_EQ(reads_a[0], (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(reads_a[1], (std::vector<int>{4, 5, 6}));
+  EXPECT_EQ(reg_b.peek(), 60);
+  EXPECT_EQ(reads_b[0], (std::vector<int>{100, 90}));
+  EXPECT_EQ(reads_b[1], (std::vector<int>{80, 70}));
+  EXPECT_EQ(a.snapshot_report().total_steps, 12u);
+  EXPECT_EQ(b.snapshot_report().total_steps, 8u);
+  EXPECT_EQ(a.trace().size(), 12u);
+  EXPECT_EQ(b.trace().size(), 8u);
+}
+
+TEST(Substrate, BodyWithA32KiBLocalArrayRunsAndKeepsItAcrossSwitches) {
+  SimEnv env;
+  MwmrRegister<int> reg("r", 0);
+  std::uint64_t sums[2] = {0, 0};
+  for (int pid = 0; pid < 2; ++pid) {
+    env.add_process([&, pid](Ctx& ctx) {
+      std::array<unsigned char, 32 * 1024> local{};
+      for (std::size_t i = 0; i < local.size(); ++i) {
+        local[i] = static_cast<unsigned char>(i * 7 + static_cast<std::size_t>(pid));
+      }
+      reg.write(ctx, pid);  // switch out and back with the array live
+      std::uint64_t sum = 0;
+      for (const unsigned char byte : local) sum += byte;
+      sums[pid] = sum;
+    });
+  }
+  RoundRobinScheduler sched;
+  EXPECT_TRUE(env.run(sched).clean());
+  std::uint64_t expected[2] = {0, 0};
+  for (std::size_t i = 0; i < 32 * 1024; ++i) {
+    for (std::size_t pid = 0; pid < 2; ++pid) {
+      expected[pid] += static_cast<unsigned char>(i * 7 + pid);
+    }
+  }
+  EXPECT_EQ(sums[0], expected[0]);
+  EXPECT_EQ(sums[1], expected[1]);
 }
 
 TEST(SwmrRegister, SecondWriterTrapped) {
