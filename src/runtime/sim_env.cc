@@ -1,11 +1,12 @@
 #include "runtime/sim_env.h"
 
 #include <sys/mman.h>
-#include <ucontext.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <cstdlib>
+#include <new>
 #include <sstream>
 #include <system_error>
 #include <utility>
@@ -35,6 +36,51 @@
 #include <sanitizer/tsan_interface.h>
 #endif
 
+#if !defined(__x86_64__)
+#error "SimEnv's fiber switch is x86-64 System V only; DESIGN.md §4g says what a port needs"
+#endif
+
+// Pushes the caller's callee-saved registers, MXCSR and x87 control word
+// onto its own stack (the layout of SwitchFrame below), stores the stack
+// pointer in *save_sp, and resumes the fiber whose stack pointer is to_sp by
+// popping the same frame off it.  The signal mask is left alone, so a switch
+// is two dozen instructions and no syscall.  The .cfi lines keep a debugger's
+// or profiler's stack walk right inside the switch.
+extern "C" void bss_fiber_switch(void** save_sp, void* to_sp);
+asm(R"(
+  .pushsection .text
+  .globl bss_fiber_switch
+  .hidden bss_fiber_switch
+  .type bss_fiber_switch, @function
+  .p2align 4
+bss_fiber_switch:
+  .cfi_startproc
+  pushq %rbp; .cfi_adjust_cfa_offset 8
+  pushq %rbx; .cfi_adjust_cfa_offset 8
+  pushq %r12; .cfi_adjust_cfa_offset 8
+  pushq %r13; .cfi_adjust_cfa_offset 8
+  pushq %r14; .cfi_adjust_cfa_offset 8
+  pushq %r15; .cfi_adjust_cfa_offset 8
+  subq $8, %rsp; .cfi_adjust_cfa_offset 8
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp; .cfi_adjust_cfa_offset -8
+  popq %r15; .cfi_adjust_cfa_offset -8
+  popq %r14; .cfi_adjust_cfa_offset -8
+  popq %r13; .cfi_adjust_cfa_offset -8
+  popq %r12; .cfi_adjust_cfa_offset -8
+  popq %rbx; .cfi_adjust_cfa_offset -8
+  popq %rbp; .cfi_adjust_cfa_offset -8
+  ret
+  .cfi_endproc
+  .size bss_fiber_switch, .-bss_fiber_switch
+  .popsection
+)");
+
 namespace bss::sim {
 
 namespace {
@@ -48,19 +94,32 @@ std::size_t page_bytes() {
   return page;
 }
 
-/// The process launch() is starting on this OS thread: makecontext passes
-/// its entry function nothing but ints, so the entry picks it up here.
+/// The process launch() is starting on this OS thread: a fresh fiber enters
+/// fiber_entry by a return, with no arguments, so the entry picks it up here.
 thread_local Ctx* launching = nullptr;
+
+/// What bss_fiber_switch pops off a fiber it resumes, lowest address first.
+/// Fiber::take writes one at the top of a fresh stack, so the first resume
+/// "returns" into the entry function.
+struct SwitchFrame {
+  std::uint32_t mxcsr = 0;
+  std::uint16_t x87_control = 0;
+  std::uint16_t padding = 0;
+  std::array<void*, 6> callee_saved{};  // r15, r14, r13, r12, rbx, rbp
+  void (*entry)() = nullptr;  // the return address of the first resume
+  // The entry's own return slot: null, so unwinders stop at the fiber base.
+  void* end_of_stack = nullptr;
+};
+static_assert(sizeof(SwitchFrame) == 72);
 
 }  // namespace
 
 /// A fiber: a stack of kStackBytes above a PROT_NONE guard page (an
 /// overflow faults instead of running into a neighbouring mapping), and the
-/// context saved while its process is switched out.  Ended fibers go back to
-/// a per-OS-thread pool, so a warm thread maps no stacks at all.
+/// stack pointer saved while its process is switched out.  Ended fibers go
+/// back to a per-OS-thread pool, so a warm thread maps no stacks at all.
 struct SimEnv::Fiber {
   Fiber() {
-    expects(getcontext(&context) == 0, "SimEnv: getcontext failed");
     mapping = mmap(nullptr, mapping_bytes(), PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
     if (mapping == MAP_FAILED) {
@@ -89,10 +148,15 @@ struct SimEnv::Fiber {
       fiber = std::move(pool.back());
       pool.pop_back();
     }
-    fiber->context.uc_stack.ss_sp = fiber->stack();
-    fiber->context.uc_stack.ss_size = kStackBytes;
-    fiber->context.uc_link = nullptr;
-    makecontext(&fiber->context, entry, 0);
+    // The stack top is page-aligned, so the entry starts, as after a call,
+    // with rsp at its return slot, 8 (mod 16).
+    auto* frame = new (static_cast<char*>(fiber->stack()) + kStackBytes -
+                       sizeof(SwitchFrame)) SwitchFrame{};
+    // A fresh fiber starts with the floating-point controls of its creator.
+    asm volatile("stmxcsr %0\n\tfnstcw %1"
+                 : "=m"(frame->mxcsr), "=m"(frame->x87_control));
+    frame->entry = entry;
+    fiber->sp = frame;
 #ifdef BSS_TSAN_FIBERS
     fiber->tsan_fiber = __tsan_create_fiber(0);
 #endif
@@ -110,7 +174,7 @@ struct SimEnv::Fiber {
   void* stack() const { return static_cast<char*>(mapping) + page_bytes(); }
 
   void* mapping = nullptr;
-  ucontext_t context{};
+  void* sp = nullptr;  // saved stack pointer while switched out
 #ifdef BSS_ASAN_FIBERS
   void* fake_stack = nullptr;  // ASan's fake frames while switched out
 #endif
@@ -126,9 +190,10 @@ struct SimEnv::Fiber {
   }
 };
 
-/// The context of whoever drives this SimEnv, saved while a process runs.
+/// The stack pointer of whoever drives this SimEnv, saved while a process
+/// runs.
 struct SimEnv::Engine {
-  ucontext_t context{};
+  void* sp = nullptr;
 #ifdef BSS_ASAN_FIBERS
   void* fake_stack = nullptr;
   const void* stack_bottom = nullptr;  // learned as each fiber switches in
@@ -367,7 +432,7 @@ void SimEnv::resume(int pid) {
   __sanitizer_start_switch_fiber(&engine_->fake_stack, fiber.stack(),
                                  kStackBytes);
 #endif
-  swapcontext(&engine_->context, &fiber.context);
+  bss_fiber_switch(&engine_->sp, fiber.sp);
 #ifdef BSS_ASAN_FIBERS
   __sanitizer_finish_switch_fiber(engine_->fake_stack, nullptr, nullptr);
 #endif
@@ -383,7 +448,7 @@ void SimEnv::yield(Fiber& fiber, [[maybe_unused]] bool exiting) {
   __sanitizer_start_switch_fiber(exiting ? nullptr : &fiber.fake_stack,
                                  engine_->stack_bottom, engine_->stack_size);
 #endif
-  swapcontext(&fiber.context, &engine_->context);
+  bss_fiber_switch(&fiber.sp, engine_->sp);
 #ifdef BSS_ASAN_FIBERS
   __sanitizer_finish_switch_fiber(fiber.fake_stack, &engine_->stack_bottom,
                                   &engine_->stack_size);
@@ -470,12 +535,14 @@ TraceEvent SimEnv::step_process(int pid) {
   expects(started_ && !finished_, "step_process outside start()/finish()");
   Proc& proc = procs_[static_cast<std::size_t>(pid)];
   expects(proc.state == State::kReady, "step_process: process is not parked");
-  const OpDesc granted = proc.pending;
+  // pending is dead from here: nothing reads it until the next park
+  // overwrites it.
+  OpDesc granted = std::move(proc.pending);
   grant(pid, granted);
   TraceEvent event;
   event.step = step_++;
   event.pid = pid;
-  event.desc = granted;
+  event.desc = std::move(granted);
   if (proc.last_result.has_value()) {
     event.result = *proc.last_result;
     event.has_result = true;
@@ -625,7 +692,7 @@ RunReport SimEnv::run(Scheduler& scheduler, const FaultPlan& faults) {
     decisions_.push_back(pid);
 
     Proc& proc = procs_[static_cast<std::size_t>(pid)];
-    const OpDesc granted = proc.pending;
+    OpDesc granted = std::move(proc.pending);  // dead until the next park
     if (granted.op == "sc" &&
         faults.should_fail_sc(pid, sc_granted[static_cast<std::size_t>(pid)]++)) {
       proc.sc_failure_pending = true;
@@ -637,7 +704,7 @@ RunReport SimEnv::run(Scheduler& scheduler, const FaultPlan& faults) {
       TraceEvent event;
       event.step = step_;
       event.pid = pid;
-      event.desc = granted;
+      event.desc = std::move(granted);
       if (proc.last_result.has_value()) {
         event.result = *proc.last_result;
         event.has_result = true;

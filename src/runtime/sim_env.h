@@ -32,20 +32,27 @@
 // so sleep-set POR and the access-ledger audit stay sound: two reads of the
 // clock commute, everything else on @clock conflicts.
 //
-// Implementation: each process runs on a fiber (a makecontext/swapcontext
-// user-space context) driven from the thread that calls run(), start() or
-// step_process(); no other OS thread is ever involved.  A grant resumes the
-// grantee's fiber from the SimEnv's engine context, and the fiber switches
-// back when it reaches its next sync point or finishes — Ctx::sync() is the
-// only switch point.  Kills and crash-restarts resume a parked fiber with
+// Implementation: each process runs on a fiber (its own stack, switched to
+// by a hand-written x86-64 register switch, bss_fiber_switch) driven from
+// the thread that calls run(), start() or step_process(); no other OS thread
+// is ever involved.  A grant resumes the grantee's fiber from the SimEnv's
+// engine, and the fiber switches back when it reaches its next sync point or
+// finishes — Ctx::sync() is the only switch point.  A switch saves the
+// callee-saved registers (rbp, rbx, r12-r15), the stack pointer, MXCSR and
+// the x87 control word, and nothing else: not the signal mask, so it costs no
+// syscall.  A fresh fiber's first frame is built by hand at the top of its
+// stack so that its entry starts ABI-aligned under a null return slot, where
+// unwinders stop.  Kills and crash-restarts resume a parked fiber with
 // crash_requested set, so ProcessCrashed unwinds entirely on the fiber's own
 // stack.  Fiber stacks (mmap'd, with a PROT_NONE guard page below them) come
 // from a per-OS-thread pool and go back to it as each process ends.  A SimEnv
 // must be driven from one thread for its whole life.
 //
-// Rule for process bodies: never call Ctx::sync() (any shared operation)
+// Rules for process bodies: never call Ctx::sync() (any shared operation)
 // inside a catch handler.  The C++ runtime keeps its caught-exception stack
 // per OS thread, so fibers interleaving inside handlers would corrupt it.
+// And never change the thread's signal mask: a switch does not carry it, so
+// a mask set in one fiber would leak into the engine and every other fiber.
 #pragma once
 
 #include <cstdint>

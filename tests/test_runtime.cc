@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <execinfo.h>
+
 #include <array>
+#include <cfenv>
+#include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "core/election_validator.h"
 #include "core/sim_election.h"
@@ -669,6 +676,122 @@ TEST(Substrate, BodyWithA32KiBLocalArrayRunsAndKeepsItAcrossSwitches) {
   }
   EXPECT_EQ(sums[0], expected[0]);
   EXPECT_EQ(sums[1], expected[1]);
+}
+
+/// True iff `object` sits on a 16-byte boundary.  The address passes
+/// through an empty asm first, so the compiler cannot fold the test away
+/// from an alignas it knows about.
+bool on_16_byte_boundary(const void* object) {
+  void* address = const_cast<void*>(object);
+  asm volatile("" : "+r"(address));
+  std::size_t space = 16;
+  return std::align(16, 1, address, space) == object;
+}
+
+/// The System V ABI checks a fiber frame must pass: an alignas(16) local
+/// lands on a 16-byte boundary, and a variadic call with a double (whose
+/// SSE register spills fault on a misaligned stack) formats correctly.
+std::string check_abi_alignment(double value) {
+  alignas(16) std::array<unsigned char, 16> local{};
+  EXPECT_TRUE(on_16_byte_boundary(local.data()));
+  std::array<char, 32> text{};
+  std::snprintf(text.data(), text.size(), "%f", value);
+  return text.data();
+}
+
+TEST(Substrate, FiberFramesAreAbiAligned) {
+  SimEnv env;
+  MwmrRegister<int> reg("r", 0);
+  std::vector<std::string> formatted;
+  env.add_process(
+      [&](Ctx& ctx) {
+        formatted.push_back(check_abi_alignment(1.5));
+        reg.write(ctx, 1);
+      },
+      [&](Ctx& ctx) {
+        formatted.push_back(check_abi_alignment(2.25));
+        reg.write(ctx, 2);
+      });
+  FaultPlan faults;
+  faults.restart_before_op(0, 0);  // re-enter through the hook at once
+  RoundRobinScheduler sched;
+  const RunReport report = env.run(sched, faults);
+  EXPECT_TRUE(report.clean());
+  EXPECT_EQ(report.restarts_by_pid[0], 1);
+  EXPECT_EQ(formatted, (std::vector<std::string>{"1.500000", "2.250000"}));
+  EXPECT_EQ(reg.peek(), 2);
+}
+
+/// 1/3 computed in SSE at run time, so it rounds in the current MXCSR mode.
+double one_third() {
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  volatile double quotient = one / three;
+  return quotient;
+}
+
+TEST(Substrate, FloatingPointControlStaysWithItsFiber) {
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  const double nearest = one_third();
+  SimEnv env;
+  MwmrRegister<int> reg("r", 0);
+  std::vector<int> body_modes;
+  std::vector<double> body_thirds;
+  env.add_process([&](Ctx& ctx) {
+    std::fesetround(FE_UPWARD);
+    for (int op = 0; op < 2; ++op) {
+      reg.write(ctx, op);  // switch out and back
+      body_modes.push_back(std::fegetround());
+      body_thirds.push_back(one_third());
+    }
+  });
+  env.start();
+  for (int step = 0; step < 2; ++step) {
+    // The engine keeps its own modes while the body has switched out: the
+    // x87 control word (fegetround) and MXCSR (SSE division).
+    EXPECT_EQ(std::fegetround(), FE_TONEAREST) << "step " << step;
+    EXPECT_EQ(one_third(), nearest) << "step " << step;
+    env.step_process(0);
+  }
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  EXPECT_EQ(one_third(), nearest);
+  env.finish();
+  EXPECT_EQ(env.outcome_of(0), ProcOutcome::kFinished);
+  EXPECT_EQ(body_modes, (std::vector<int>{FE_UPWARD, FE_UPWARD}));
+  ASSERT_EQ(body_thirds.size(), 2u);
+  for (const double third : body_thirds) EXPECT_GT(third, nearest);
+}
+
+TEST(Substrate, UnwinderStopsAtTheFiberBase) {
+  SimEnv env;
+  MwmrRegister<int> reg("r", 0);
+  std::vector<int> log;
+  int frames = -1;
+  bool caught = false;
+  env.add_process([&](Ctx& ctx) {
+    const Witness witness(log, 0);
+    reg.write(ctx, 1);
+    std::array<void*, 256> addresses{};
+    frames = backtrace(addresses.data(), static_cast<int>(addresses.size()));
+    try {
+      throw std::runtime_error("thrown and caught inside the body");
+    } catch (const std::runtime_error&) {
+      caught = true;
+    }
+    reg.write(ctx, 2);  // parks here until the kill below
+  });
+  env.start();
+  env.step_process(0);  // backtrace, throw and catch, park again
+  ASSERT_TRUE(env.is_parked(0));
+  env.kill_process(0);  // ProcessCrashed unwinds to the fiber's base
+  EXPECT_EQ(env.outcome_of(0), ProcOutcome::kCrashed);
+  // The walk ends at the fiber's base instead of running on into whatever
+  // lies above its stack: the body, std::function and the fiber entry are a
+  // handful of frames.
+  EXPECT_GT(frames, 0);
+  EXPECT_LT(frames, 32);
+  EXPECT_TRUE(caught);
+  EXPECT_EQ(lifetimes(log, 0), std::make_pair(1, 1));
 }
 
 TEST(SwmrRegister, SecondWriterTrapped) {
