@@ -11,9 +11,8 @@ namespace bss::audit {
 
 namespace {
 
-using explore::Action;
-using explore::ActionKind;
-using explore::decode_action;
+using sim::Action;
+using sim::decode_action;
 
 /// Everything one strict replay produces, for byte-level comparison.
 struct ReplayResult {
@@ -26,22 +25,6 @@ struct ReplayResult {
   std::string fingerprint;
 };
 
-bool action_applicable(const sim::SimEnv& env, int decision) {
-  const Action action = decode_action(decision);
-  if (action.pid < 0 || action.pid >= env.process_count()) return false;
-  if (!env.is_parked(action.pid)) return false;
-  switch (action.kind) {
-    case ActionKind::kGrant:
-    case ActionKind::kCrash:
-      return true;
-    case ActionKind::kRestart:
-      return env.restart_supported(action.pid);
-    case ActionKind::kScFailure:
-      return env.pending_of(action.pid).op == "sc";
-  }
-  return false;
-}
-
 /// Replays `tape` verbatim — no divergence-skipping: an inapplicable entry
 /// fails the replay (for the baseline that means a stale tape; for a
 /// swapped tape it means the pair did not commute).
@@ -49,13 +32,8 @@ ReplayResult strict_replay(const explore::ExplorableSystem& system,
                            const std::vector<int>& tape,
                            std::uint64_t max_depth) {
   ReplayResult result;
-  auto instance = system.make();
-  sim::SimOptions sim_options;
-  sim_options.step_limit = max_depth;
-  sim_options.record_trace = true;
-  sim::SimEnv env(sim_options);
-  instance->populate(env);
-  env.start();
+  explore::SystemRun run(system, {max_depth, true});
+  sim::SimEnv& env = run.env;
 
   std::uint64_t granted = 0;
   bool applied = true;
@@ -64,28 +42,13 @@ ReplayResult strict_replay(const explore::ExplorableSystem& system,
       result.truncated = true;
       break;
     }
-    if (!action_applicable(env, decision)) {
+    const Action action = decode_action(decision);
+    if (!env.can_apply(action)) {
       applied = false;
       break;
     }
-    const Action action = decode_action(decision);
-    switch (action.kind) {
-      case ActionKind::kGrant:
-        env.step_process(action.pid);
-        ++granted;
-        break;
-      case ActionKind::kScFailure:
-        env.inject_sc_failure(action.pid);
-        env.step_process(action.pid);
-        ++granted;
-        break;
-      case ActionKind::kCrash:
-        env.kill_process(action.pid);
-        break;
-      case ActionKind::kRestart:
-        env.restart_process(action.pid);
-        break;
-    }
+    if (sim::takes_step(action)) ++granted;
+    env.apply(action);
   }
   bool quiesced = true;
   for (int pid = 0; pid < env.process_count(); ++pid) {
@@ -99,8 +62,8 @@ ReplayResult strict_replay(const explore::ExplorableSystem& system,
   result.report = env.snapshot_report();
   result.report.step_limit_hit = result.truncated;
   if (applied && quiesced && !result.truncated) {
-    result.verdict = instance->check(env, result.report);
-    result.fingerprint = instance->fingerprint(env);
+    result.verdict = run.instance->check(env, result.report);
+    result.fingerprint = run.instance->fingerprint(env);
   }
   return result;
 }
@@ -172,8 +135,7 @@ std::string diff_replays(const ReplayResult& baseline,
 }
 
 bool grant_like(int decision) {
-  const ActionKind kind = decode_action(decision).kind;
-  return kind == ActionKind::kGrant || kind == ActionKind::kScFailure;
+  return sim::takes_step(decode_action(decision));
 }
 
 }  // namespace

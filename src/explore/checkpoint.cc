@@ -13,6 +13,10 @@ namespace json = bss::obs::json;
 
 namespace {
 
+using sim::Action;
+using sim::decode_action;
+using sim::is_fault_action;
+
 // ------------------------------------------------------------- serialization
 
 /// 128-bit cache keys serialize as 32 lowercase hex chars (lo then hi) —

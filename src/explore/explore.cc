@@ -29,6 +29,14 @@
 
 namespace bss::explore {
 
+using sim::Action;
+using sim::ActionKind;
+using sim::decode_action;
+using sim::encode_action;
+using sim::is_fault_action;
+using sim::kMaxActionPid;
+using sim::takes_step;
+
 bool ops_commute(const sim::OpDesc& a, const sim::OpDesc& b) {
   if (a.object != b.object) return true;
   // Anything that is not a plain read (write, cas, ll, sc, …) may change the
@@ -333,15 +341,13 @@ Frame make_frame(const sim::SimEnv& env, Scratch& scratch,
   if (parent == nullptr) return frame;
 
   const Action parent_action = decode_action(parent->chosen);
-  const bool parent_granted = parent_action.kind == ActionKind::kGrant ||
-                              parent_action.kind == ActionKind::kScFailure;
   frame.sc_failed_before = parent->sc_failed_before;
   if (parent_action.kind == ActionKind::kScFailure) {
     frame.sc_failed_before |= pid_bit(parent_action.pid);
   }
   frame.faults_before = parent->faults_before +
                         (parent_action.kind == ActionKind::kGrant ? 0 : 1);
-  if (parent_granted) {
+  if (takes_step(parent_action)) {
     frame.prev_grant = parent_action.pid;
     frame.preemptions_before =
         parent->preemptions_before + choice_cost(*parent, parent_action.pid);
@@ -562,13 +568,6 @@ bool commute_sampled(const std::vector<int>& tape, std::uint32_t sample) {
   return hash % sample == 0;
 }
 
-bool any_parked(const sim::SimEnv& env) {
-  for (int pid = 0; pid < env.process_count(); ++pid) {
-    if (env.is_parked(pid)) return true;
-  }
-  return false;
-}
-
 struct RunOutcome {
   bool pruned = false;
   bool truncated = false;
@@ -607,16 +606,10 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
       unit.audit.ledger_violations += auditor->violation_count();
     }
   };
-  auto instance = system.make();
-  sim::SimOptions sim_options;
-  sim_options.step_limit = opts.max_depth;
-  sim_options.record_trace = opts.record_trace;
-  sim::SimEnv env(sim_options);
-  instance->populate(env);
-  expects(env.process_count() <= 64,
-          "the fault-aware explorer supports at most 64 processes");
-  if (auditor.has_value()) env.set_access_observer(&*auditor);
-  env.start();
+  SystemRun run(system, {opts.max_depth, opts.record_trace},
+                auditor.has_value() ? &*auditor : nullptr);
+  sim::SimEnv& env = run.env;
+  SystemInstance& instance = *run.instance;
 
   std::vector<int>& actions = scratch.actions;
   actions.clear();
@@ -644,7 +637,7 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
     } else {
       const Frame* parent = depth > 0 ? &pass.frames[depth - 1] : nullptr;
       Frame frame = make_frame(env, scratch, pass, parent);
-      if (pass.fp_prune && compute_fp_key(*instance, env, frame) &&
+      if (pass.fp_prune && compute_fp_key(instance, env, frame) &&
           pass.fp_cache != nullptr &&
           pass.fp_cache->count({frame.fp_lo, frame.fp_hi}) != 0) {
         // Visited-state hit against the frozen cache: an earlier pass
@@ -684,30 +677,17 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
     ++depth;
 
     const Action action = decode_action(choice);
-    if (action.kind != ActionKind::kGrant) {
+    if (action.kind == ActionKind::kGrant) {
+      if (env.pending_of(action.pid).op == "timer") ++run_timer_grants;
+    } else {
       ++run_faults;
       run_fault_points.emplace_back(choice, env.steps_of(action.pid));
     }
-    switch (action.kind) {
-      case ActionKind::kGrant:
-        if (env.pending_of(action.pid).op == "timer") ++run_timer_grants;
-        env.step_process(action.pid);
-        ++granted;
-        ++run_transitions;
-        break;
-      case ActionKind::kScFailure:
-        env.inject_sc_failure(action.pid);
-        env.step_process(action.pid);
-        ++granted;
-        ++run_transitions;
-        break;
-      case ActionKind::kCrash:
-        env.kill_process(action.pid);
-        break;
-      case ActionKind::kRestart:
-        env.restart_process(action.pid);
-        break;
+    if (takes_step(action)) {
+      ++granted;
+      ++run_transitions;
     }
+    env.apply(action);
     actions.push_back(choice);
   }
   env.finish();
@@ -734,7 +714,7 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
     return outcome;
   }
   const sim::RunReport report = env.snapshot_report();
-  outcome.violation = instance->check(env, report);
+  outcome.violation = instance.check(env, report);
   if (!outcome.violation.has_value() && auditor.has_value() &&
       !auditor->clean()) {
     // Ledger / footprint violations become ordinary counterexamples (so
@@ -787,24 +767,6 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
   return outcome;
 }
 
-/// True iff `decision` can be applied to the current state: the pid is
-/// parked, restarts need a hook, spurious SC needs a pending SC.
-bool applicable(const sim::SimEnv& env, int decision) {
-  const Action action = decode_action(decision);
-  if (action.pid < 0 || action.pid >= env.process_count()) return false;
-  if (!env.is_parked(action.pid)) return false;
-  switch (action.kind) {
-    case ActionKind::kGrant:
-    case ActionKind::kCrash:
-      return true;
-    case ActionKind::kRestart:
-      return env.restart_supported(action.pid);
-    case ActionKind::kScFailure:
-      return env.pending_of(action.pid).op == "sc";
-  }
-  return false;
-}
-
 /// Replays `tape` — grants and faults — skipping inapplicable entries and
 /// completing round-robin past its end (each counted as a divergence, the
 /// ReplayScheduler contract), then re-checks the property.
@@ -824,31 +786,26 @@ TapeResult run_tape(const ExplorableSystem& system, const ExploreOptions& opts,
       opts.telemetry != nullptr ? opts.telemetry->profiler() : nullptr,
       obs::Phase::kReplay);
   TapeResult result;
-  auto instance = system.make();
-  sim::SimOptions sim_options;
-  sim_options.step_limit = opts.max_depth;
-  sim_options.record_trace = true;  // checks may read the trace on replay
-  sim::SimEnv env(sim_options);
-  instance->populate(env);
-  // Fault-injection events (sim.crash / sim.restart / sim.sc_failure) are
-  // attached only on explicit replays: exploration re-runs the factory
-  // thousands of times and would drown the bounded event log.
-  if (env_sink != nullptr) env.set_obs_sink(env_sink);
-  const int n = env.process_count();
+  // Replays audit too, so audit-found counterexamples reproduce (and
+  // minimize) through the same machinery as property violations.
   std::optional<audit::Auditor> auditor;
-  if (opts.audit) {
-    // Replays audit too, so audit-found counterexamples reproduce (and
-    // minimize) through the same machinery as property violations.
-    auditor.emplace();
-    env.set_access_observer(&*auditor);
-  }
-  env.start();
+  if (opts.audit) auditor.emplace();
+  // Fault-action events (sim.crash / sim.restart / sim.sc_failure) are
+  // attached only on explicit replays: exploration re-runs the factory
+  // thousands of times and would drown the bounded event log.  Checks may
+  // read the trace on replay, so it is always recorded.
+  SystemRun run(system, {opts.max_depth, true},
+                auditor.has_value() ? &*auditor : nullptr, env_sink);
+  sim::SimEnv& env = run.env;
+  const int n = env.process_count();
 
   std::size_t next = 0;
   int rr_cursor = 0;
   std::uint64_t granted = 0;
+  std::vector<int> parked;
   for (;;) {
-    if (!any_parked(env)) break;
+    fill_parked(env, parked);
+    if (parked.empty()) break;
     if (granted >= opts.max_depth) {
       result.truncated = true;
       break;
@@ -856,7 +813,7 @@ TapeResult run_tape(const ExplorableSystem& system, const ExploreOptions& opts,
     int choice = kNoChoice;
     while (next < tape.size()) {
       const int candidate = tape[next++];
-      if (applicable(env, candidate)) {
+      if (env.can_apply(decode_action(candidate))) {
         choice = candidate;
         break;
       }
@@ -874,23 +831,8 @@ TapeResult run_tape(const ExplorableSystem& system, const ExploreOptions& opts,
       ++result.divergences;
     }
     const Action action = decode_action(choice);
-    switch (action.kind) {
-      case ActionKind::kGrant:
-        env.step_process(action.pid);
-        ++granted;
-        break;
-      case ActionKind::kScFailure:
-        env.inject_sc_failure(action.pid);
-        env.step_process(action.pid);
-        ++granted;
-        break;
-      case ActionKind::kCrash:
-        env.kill_process(action.pid);
-        break;
-      case ActionKind::kRestart:
-        env.restart_process(action.pid);
-        break;
-    }
+    if (takes_step(action)) ++granted;
+    env.apply(action);
     result.canonical.push_back(choice);
   }
   env.finish();
@@ -898,7 +840,7 @@ TapeResult run_tape(const ExplorableSystem& system, const ExploreOptions& opts,
   result.report = env.snapshot_report();
   result.report.step_limit_hit = result.truncated;
   if (result.truncated) return result;
-  const auto violation = instance->check(env, result.report);
+  const auto violation = run.instance->check(env, result.report);
   if (violation.has_value()) {
     result.reproduced = true;
     result.violation = *violation;
@@ -1202,15 +1144,8 @@ StealUnit materialize_steal_unit(const ExplorableSystem& system,
   unit.floor = static_cast<std::size_t>(cu.floor);
 
   PassState pass = base;
-  auto instance = system.make();
-  sim::SimOptions sim_options;
-  sim_options.step_limit = opts.max_depth;
-  sim_options.record_trace = false;
-  sim::SimEnv env(sim_options);
-  instance->populate(env);
-  expects(env.process_count() <= 64,
-          "the fault-aware explorer supports at most 64 processes");
-  env.start();
+  SystemRun run(system, {opts.max_depth, false});
+  sim::SimEnv& env = run.env;
   Scratch scratch;
   for (const CheckpointFrame& cf : cu.frames) {
     fill_parked(env, scratch.runnable);
@@ -1224,29 +1159,14 @@ StealUnit materialize_steal_unit(const ExplorableSystem& system,
     // persisting it) keeps the artifact small and doubles as coverage of
     // the key's determinism; only the dirty accumulator needs restoring.
     if (pass.fp_prune) {
-      compute_fp_key(*instance, env, frame);
+      compute_fp_key(*run.instance, env, frame);
       frame.fp_dirty = cf.fp_dirty;
     }
     frame.done = cf.done;
-    expects(applicable(env, cf.chosen),
+    expects(env.can_apply(decode_action(cf.chosen)),
             "checkpoint frontier decision is not applicable on replay");
     frame.chosen = cf.chosen;
-    const Action action = decode_action(cf.chosen);
-    switch (action.kind) {
-      case ActionKind::kGrant:
-        env.step_process(action.pid);
-        break;
-      case ActionKind::kScFailure:
-        env.inject_sc_failure(action.pid);
-        env.step_process(action.pid);
-        break;
-      case ActionKind::kCrash:
-        env.kill_process(action.pid);
-        break;
-      case ActionKind::kRestart:
-        env.restart_process(action.pid);
-        break;
-    }
+    env.apply(decode_action(cf.chosen));
     pass.frames.push_back(std::move(frame));
   }
   env.finish();
@@ -2557,23 +2477,7 @@ std::string Counterexample::to_artifact() const {
   out << "shrunk-from: " << shrunk_from << "\n";
   out << "violation: " << flat << "\n";
   out << "decisions:";
-  for (const int decision : decisions) {
-    const Action action = decode_action(decision);
-    switch (action.kind) {
-      case ActionKind::kGrant:
-        out << ' ' << action.pid;
-        break;
-      case ActionKind::kCrash:
-        out << " c" << action.pid;
-        break;
-      case ActionKind::kRestart:
-        out << " r" << action.pid;
-        break;
-      case ActionKind::kScFailure:
-        out << " s" << action.pid;
-        break;
-    }
-  }
+  for (const int decision : decisions) out << ' ' << action_token(decision);
   out << "\n";
   return out.str();
 }

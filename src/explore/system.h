@@ -29,6 +29,7 @@
 #include <utility>
 
 #include "runtime/sim_env.h"
+#include "util/checked.h"
 
 namespace bss::explore {
 
@@ -67,6 +68,29 @@ class ExplorableSystem {
   virtual std::string name() const = 0;
   virtual int process_count() const = 0;
   virtual std::unique_ptr<SystemInstance> make() const = 0;
+};
+
+/// A fresh instance of `system` populated into a started SimEnv: the
+/// preamble of every run that the explorer, its replayer and the
+/// commutation cross-check drive one decision at a time through
+/// SimEnv::apply.  `observer` and `sink` are attached before start() when
+/// non-null.  `env` is destroyed first, so still-parked bodies unwind while
+/// the instance's shared state is alive.
+struct SystemRun {
+  SystemRun(const ExplorableSystem& system, sim::SimOptions options,
+            audit::AccessObserver* observer = nullptr,
+            obs::ObsSink* sink = nullptr)
+      : instance(system.make()), env(options) {
+    instance->populate(env);
+    expects(env.process_count() <= 64,
+            "the fault-aware explorer supports at most 64 processes");
+    if (observer != nullptr) env.set_access_observer(observer);
+    if (sink != nullptr) env.set_obs_sink(sink);
+    env.start();
+  }
+
+  std::unique_ptr<SystemInstance> instance;
+  sim::SimEnv env;
 };
 
 /// Instance helper for ad-hoc systems (tests, user invariants): owns a State

@@ -28,7 +28,7 @@ struct Span {
 
 class Timeline {
  public:
-  /// Track for the single-threaded engine work (enumerate, merge).  Large
+  /// Track for the single-threaded engine work (the DFS-order merge).  Large
   /// so it sorts after any plausible worker count.
   static constexpr int kCoordinatorTrack = 1000;
 
@@ -44,7 +44,7 @@ class Timeline {
 
   /// Chrome trace-event JSON: complete ("ph":"X") events in microseconds,
   /// plus thread_name metadata naming each track ("worker N", and
-  /// "enumerate+merge" for the coordinator).
+  /// "merge" for the coordinator).
   std::string to_chrome_trace() const;
 
  private:

@@ -2,7 +2,7 @@
 // names ("compare&swap, or load-link-store-conditional").  Bounded to k
 // values like CasRegisterK.  By default this is the idealized LL/SC (SC
 // fails iff some other store-conditional succeeded since this process's
-// load-link); a FaultPlan (fail_sc) or SimEnv::inject_sc_failure relaxes it
+// load-link); a FaultPlan (fail_sc) or an ActionKind::kScFailure relaxes it
 // to the hardware-faithful variant where an individual SC may also fail
 // *spuriously* — reported as failure although nothing intervened and the
 // link stays intact.

@@ -94,7 +94,7 @@ std::size_t page_bytes() {
   return page;
 }
 
-/// The process launch() is starting on this OS thread: a fresh fiber enters
+/// The process start() is launching on this OS thread: a fresh fiber enters
 /// fiber_entry by a return, with no arguments, so the entry picks it up here.
 thread_local Ctx* launching = nullptr;
 
@@ -320,7 +320,7 @@ SimEnv::~SimEnv() {
 }
 
 int SimEnv::add_process(std::function<void(Ctx&)> body) {
-  expects(!ran_, "SimEnv::add_process after run()");
+  expects(!started_, "SimEnv::add_process after the run began");
   bodies_.push_back(std::move(body));
   restart_hooks_.emplace_back();  // no hook: restarts unsupported
   return checked_cast<int>(bodies_.size()) - 1;
@@ -328,7 +328,7 @@ int SimEnv::add_process(std::function<void(Ctx&)> body) {
 
 int SimEnv::add_process(std::function<void(Ctx&)> body,
                         std::function<void(Ctx&)> restart_hook) {
-  expects(!ran_, "SimEnv::add_process after run()");
+  expects(!started_, "SimEnv::add_process after the run began");
   expects(static_cast<bool>(restart_hook),
           "add_process: restart hook must be callable");
   bodies_.push_back(std::move(body));
@@ -337,17 +337,17 @@ int SimEnv::add_process(std::function<void(Ctx&)> body,
 }
 
 void SimEnv::set_access_observer(audit::AccessObserver* observer) {
-  expects(!ran_ && !started_, "set_access_observer after the run began");
+  expects(!started_, "set_access_observer after the run began");
   observer_ = observer;
 }
 
 void SimEnv::set_obs_sink(obs::ObsSink* sink) {
-  expects(!ran_ && !started_, "set_obs_sink after the run began");
+  expects(!started_, "set_obs_sink after the run began");
   obs_sink_ = sink;
 }
 
 void SimEnv::note_fault_event(const char* kind, int pid) {
-  if (obs_sink_ == nullptr || finishing_ || !obs_sink_->events_enabled()) {
+  if (obs_sink_ == nullptr || !obs_sink_->events_enabled()) {
     return;
   }
   obs::Event event;
@@ -393,7 +393,6 @@ void SimEnv::fiber_main(int pid) {
         proc.restart_requested = false;
         proc.crash_requested = false;
         proc.injection.reset();
-        proc.sc_failure_pending = false;
         ++proc.ctx->incarnation_;
         ++proc.restarts;
         continue;
@@ -455,18 +454,31 @@ void SimEnv::yield(Fiber& fiber, [[maybe_unused]] bool exiting) {
 #endif
 }
 
-void SimEnv::grant(int pid, const OpDesc& granted) {
+TraceEvent SimEnv::grant(int pid) {
   Proc& proc = procs_[static_cast<std::size_t>(pid)];
+  TraceEvent event;
+  event.step = step_;
+  event.pid = pid;
+  // pending is dead from here: nothing reads it until the next park
+  // overwrites it.
+  event.desc = std::move(proc.pending);
   proc.last_result.reset();
   proc.state = State::kRunning;
   window_pid_ = pid;
-  if (observer_ != nullptr) observer_->on_window_begin(pid, granted, step_);
+  if (observer_ != nullptr) observer_->on_window_begin(pid, event.desc, step_);
   resume(pid);  // the process parked again or ended
   window_pid_ = -1;
   if (observer_ != nullptr) {
     observer_->on_window_end(
         pid, proc.state == State::kDone && proc.outcome != ProcOutcome::kFinished);
   }
+  proc.sc_failure_pending = false;  // a fault the op did not consume lapses
+  if (proc.last_result.has_value()) {
+    event.result = *proc.last_result;
+    event.has_result = true;
+  }
+  ++step_;
+  return event;
 }
 
 void SimEnv::crash(int pid, bool restart) {
@@ -476,7 +488,9 @@ void SimEnv::crash(int pid, bool restart) {
   resume(pid);  // unwound and ended, or re-entered and parked again
 }
 
-void SimEnv::launch() {
+void SimEnv::start() {
+  expects(!started_, "SimEnv::start conflicts with a previous run");
+  started_ = true;
   const int n = process_count();
   expects(n > 0, "SimEnv started with no processes");
   procs_.resize(static_cast<std::size_t>(n));
@@ -496,12 +510,6 @@ void SimEnv::launch() {
     launching = proc.ctx.get();
     resume(pid);
   }
-}
-
-void SimEnv::start() {
-  expects(!ran_ && !started_, "SimEnv::start conflicts with a previous run");
-  started_ = true;
-  launch();
 }
 
 bool SimEnv::is_parked(int pid) const {
@@ -531,50 +539,59 @@ void SimEnv::inject(int pid, std::int64_t value) {
   procs_[static_cast<std::size_t>(pid)].injection = value;
 }
 
+bool SimEnv::can_apply(Action action) const {
+  // procs_ is empty until start(), so nothing applies before it.
+  if (action.pid < 0 || action.pid >= static_cast<int>(procs_.size())) {
+    return false;
+  }
+  if (!is_parked(action.pid)) return false;
+  switch (action.kind) {
+    case ActionKind::kGrant:
+    case ActionKind::kCrash:
+      return true;
+    case ActionKind::kRestart:
+      return restart_supported(action.pid);
+    case ActionKind::kScFailure:
+      return procs_[static_cast<std::size_t>(action.pid)].pending.op == "sc";
+  }
+  return false;
+}
+
+void SimEnv::apply(Action action) {
+  expects(started_ && !finished_, "SimEnv::apply outside start()/finish()");
+  expects(can_apply(action), "SimEnv::apply: action is not applicable");
+  const int pid = action.pid;
+  switch (action.kind) {
+    case ActionKind::kScFailure:
+      note_fault_event("sim.sc_failure", pid);
+      procs_[static_cast<std::size_t>(pid)].sc_failure_pending = true;
+      [[fallthrough]];
+    case ActionKind::kGrant: {
+      TraceEvent event = grant(pid);
+      if (options_.record_trace) trace_.append(std::move(event));
+      return;
+    }
+    case ActionKind::kCrash:
+      note_fault_event("sim.crash", pid);
+      crash(pid, false);
+      return;
+    case ActionKind::kRestart:
+      note_fault_event("sim.restart", pid);
+      crash(pid, true);
+      return;
+  }
+}
+
 TraceEvent SimEnv::step_process(int pid) {
   expects(started_ && !finished_, "step_process outside start()/finish()");
-  Proc& proc = procs_[static_cast<std::size_t>(pid)];
-  expects(proc.state == State::kReady, "step_process: process is not parked");
-  // pending is dead from here: nothing reads it until the next park
-  // overwrites it.
-  OpDesc granted = std::move(proc.pending);
-  grant(pid, granted);
-  TraceEvent event;
-  event.step = step_++;
-  event.pid = pid;
-  event.desc = std::move(granted);
-  if (proc.last_result.has_value()) {
-    event.result = *proc.last_result;
-    event.has_result = true;
-  }
+  expects(can_apply({ActionKind::kGrant, pid}),
+          "step_process: process is not parked");
+  TraceEvent event = grant(pid);
   if (options_.record_trace) trace_.append(event);
   return event;
 }
 
-void SimEnv::kill_process(int pid) {
-  Proc& proc = procs_[static_cast<std::size_t>(pid)];
-  if (proc.state != State::kReady) return;
-  note_fault_event("sim.crash", pid);
-  crash(pid, false);
-}
-
-void SimEnv::restart_process(int pid) {
-  Proc& proc = procs_[static_cast<std::size_t>(pid)];
-  expects(proc.state == State::kReady, "restart_process: process is not parked");
-  expects(restart_supported(pid), "restart_process: process has no restart hook");
-  note_fault_event("sim.restart", pid);
-  crash(pid, true);
-}
-
-void SimEnv::inject_sc_failure(int pid) {
-  Proc& proc = procs_[static_cast<std::size_t>(pid)];
-  expects(proc.state == State::kReady,
-          "inject_sc_failure: process is not parked");
-  expects(proc.pending.op == "sc",
-          "inject_sc_failure: pending operation is not a store-conditional");
-  note_fault_event("sim.sc_failure", pid);
-  proc.sc_failure_pending = true;
-}
+void SimEnv::restart_process(int pid) { apply({ActionKind::kRestart, pid}); }
 
 std::uint64_t SimEnv::steps_of(int pid) const {
   return procs_[static_cast<std::size_t>(pid)].ctx->steps_taken();
@@ -610,17 +627,15 @@ RunReport SimEnv::snapshot_report() const {
 void SimEnv::finish() {
   if (!started_ || finished_) return;
   finished_ = true;
-  finishing_ = true;  // shutdown kills are not fault injections
-  for (int pid = 0; pid < process_count(); ++pid) kill_process(pid);
+  // Shutdown kills are not fault actions: no events, no apply().
+  for (int pid = 0; pid < process_count(); ++pid) {
+    if (is_parked(pid)) crash(pid, false);
+  }
 }
 
 RunReport SimEnv::run(Scheduler& scheduler, const FaultPlan& faults) {
-  expects(!ran_ && !started_, "SimEnv::run may be called once");
-  ran_ = true;
+  start();
   const int n = process_count();
-  expects(n > 0, "SimEnv::run with no processes");
-  launch();
-
   std::vector<ProcView> views(static_cast<std::size_t>(n));
   const auto refresh_view = [&](int pid) {
     const Proc& proc = procs_[static_cast<std::size_t>(pid)];
@@ -632,90 +647,47 @@ RunReport SimEnv::run(Scheduler& scheduler, const FaultPlan& faults) {
   };
   for (int pid = 0; pid < n; ++pid) refresh_view(pid);
 
-  const auto kill = [&](int pid) {
-    crash(pid, false);
-    refresh_view(pid);
-  };
-  const auto restart = [&](int pid) {
-    expects(restart_supported(pid),
-            "fault plan restarts a process without a restart hook");
-    crash(pid, true);
-    refresh_view(pid);
-  };
-
   // Per-pid cursor into the (sorted) fault event list, and count of granted
   // store-conditionals (the coordinate fail_sc addresses).
   std::vector<std::size_t> fault_cursor(static_cast<std::size_t>(n), 0);
   std::vector<std::uint64_t> sc_granted(static_cast<std::size_t>(n), 0);
 
-  RunReport report;
   bool limit_hit = false;
   for (;;) {
     // Apply due fault events to every parked process first.  A restart
     // leaves the process parked again (at its new first operation) with its
     // lifetime step count intact, so several due events fire back-to-back.
     for (int pid = 0; pid < n; ++pid) {
-      for (;;) {
-        const Proc& proc = procs_[static_cast<std::size_t>(pid)];
-        if (proc.state != State::kReady) break;
-        const auto& events = faults.events_for(pid);
-        if (fault_cursor[static_cast<std::size_t>(pid)] >= events.size()) break;
-        const FaultEvent& event =
-            events[fault_cursor[static_cast<std::size_t>(pid)]];
-        if (proc.ctx->steps_taken() < event.op_index) break;
-        ++fault_cursor[static_cast<std::size_t>(pid)];
-        if (event.kind == FaultKind::kCrash) {
-          kill(pid);
-        } else {
-          restart(pid);
-        }
+      const auto& events = faults.events_for(pid);
+      std::size_t& cursor = fault_cursor[static_cast<std::size_t>(pid)];
+      while (is_parked(pid) && cursor < events.size() &&
+             steps_of(pid) >= events[cursor].op_index) {
+        const bool fail_stop = events[cursor++].kind == FaultKind::kCrash;
+        apply({fail_stop ? ActionKind::kCrash : ActionKind::kRestart, pid});
+        refresh_view(pid);
       }
     }
-    std::vector<int> runnable;
-    for (int pid = 0; pid < n; ++pid) {
-      if (procs_[static_cast<std::size_t>(pid)].state == State::kReady) {
-        runnable.push_back(pid);
-      }
-    }
+    std::vector<int> runnable = parked_processes();
     if (runnable.empty()) break;
     if (step_ >= options_.step_limit) {
       limit_hit = true;
-      for (const int pid : runnable) kill(pid);
       break;
     }
 
     const SchedView view{step_, runnable, views};
     const int pid = scheduler.pick(view);
-    expects(pid >= 0 && pid < n &&
-                procs_[static_cast<std::size_t>(pid)].state == State::kReady,
+    expects(pid >= 0 && pid < n && is_parked(pid),
             "scheduler picked a non-runnable process");
     decisions_.push_back(pid);
-
-    Proc& proc = procs_[static_cast<std::size_t>(pid)];
-    OpDesc granted = std::move(proc.pending);  // dead until the next park
-    if (granted.op == "sc" &&
-        faults.should_fail_sc(pid, sc_granted[static_cast<std::size_t>(pid)]++)) {
-      proc.sc_failure_pending = true;
-    }
-    grant(pid, granted);
-    proc.sc_failure_pending = false;  // a fault the op did not consume lapses
-
-    if (options_.record_trace) {
-      TraceEvent event;
-      event.step = step_;
-      event.pid = pid;
-      event.desc = std::move(granted);
-      if (proc.last_result.has_value()) {
-        event.result = *proc.last_result;
-        event.has_result = true;
-      }
-      trace_.append(std::move(event));
-    }
-    ++step_;
+    const bool fail_sc =
+        pending_of(pid).op == "sc" &&
+        faults.should_fail_sc(pid, sc_granted[static_cast<std::size_t>(pid)]++);
+    apply({fail_sc ? ActionKind::kScFailure : ActionKind::kGrant, pid});
     refresh_view(pid);
   }
+  finish();  // kills what the step limit left parked
 
-  report = snapshot_report();
+  RunReport report = snapshot_report();
   report.step_limit_hit = limit_hit;
   return report;
 }

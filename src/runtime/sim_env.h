@@ -12,13 +12,17 @@
 // decisions, fault plan).  Schedulers are replayable, so every run in this
 // repository can be reproduced from a seed.
 //
-// Fault model: run() takes a FaultPlan (fault_plan.h).  Fail-stop kills a
-// parked process for good; crash-*restart* unwinds it (all private state —
-// locals, program counter, the in-flight operation — is lost, shared
-// registers persist) and re-enters its program through the restart hook
-// registered with the two-argument add_process overload.  Spurious
-// store-conditional failures are delivered to the LL/SC object through
-// Ctx::take_sc_failure.
+// Decisions: every step and every fault is one Action (runtime/action.h)
+// taken by SimEnv::apply — a grant, a spurious store-conditional failure
+// plus grant, a fail-stop kill, or a crash-restart.  run() turns its
+// scheduler's picks and its FaultPlan (fault_plan.h) into Actions; the
+// incremental API lets a caller (the explorer, a replayer) apply its own.
+// Fail-stop kills a parked process for good; crash-*restart* unwinds it (all
+// private state — locals, program counter, the in-flight operation — is
+// lost, shared registers persist) and re-enters its program through the
+// restart hook registered with the two-argument add_process overload.
+// Spurious store-conditional failures are delivered to the LL/SC object
+// through Ctx::take_sc_failure.
 //
 // Virtual time: the engine carries a logical clock (virtual_now, a plain
 // uint64 of abstract ticks) that only timer operations move.  Ctx::now()
@@ -34,7 +38,7 @@
 //
 // Implementation: each process runs on a fiber (its own stack, switched to
 // by a hand-written x86-64 register switch, bss_fiber_switch) driven from
-// the thread that calls run(), start() or step_process(); no other OS thread
+// the thread that calls run(), start() or apply(); no other OS thread
 // is ever involved.  A grant resumes the grantee's fiber from the SimEnv's
 // engine, and the fiber switches back when it reaches its next sync point or
 // finishes — Ctx::sync() is the only switch point.  A switch saves the
@@ -63,6 +67,7 @@
 #include <vector>
 
 #include "audit/ledger.h"
+#include "runtime/action.h"
 #include "runtime/fault_plan.h"
 #include "runtime/scheduler.h"
 #include "runtime/trace.h"
@@ -123,9 +128,10 @@ class Ctx {
   std::int64_t take_injection();
 
   /// True iff the operation granted by the last sync() was marked as a
-  /// spurious store-conditional failure (FaultPlan::fail_sc or
-  /// SimEnv::inject_sc_failure).  Consuming clears the mark; the LL/SC
-  /// object calls this once per SC.
+  /// spurious store-conditional failure (an ActionKind::kScFailure, e.g.
+  /// from FaultPlan::fail_sc).  Consuming clears the mark; the LL/SC object
+  /// calls this once per SC.  A mark the operation does not consume lapses
+  /// when the operation ends: the next operation never sees it.
   bool take_sc_failure();
 
   /// Checks out this process's access-ledger stamp for the grant window the
@@ -208,27 +214,42 @@ class SimEnv {
   /// results — and must outlive the run.  Call before run()/start().
   void set_access_observer(audit::AccessObserver* observer);
 
-  /// Attaches a telemetry sink (src/obs) before the run: fault injections
-  /// (kill_process, restart_process, inject_sc_failure) emit sim.crash /
-  /// sim.restart / sim.sc_failure events stamped with the global step
-  /// counter.  Passive, like the access observer: attaching one changes
-  /// neither scheduling nor results.  The engine's own shutdown kills in
-  /// finish() are NOT events — only explicit injections are.  The explorer
+  /// Attaches a telemetry sink (src/obs) before the run: fault actions
+  /// taken by apply() (kCrash, kRestart, kScFailure — from a caller or from
+  /// run()'s FaultPlan) emit sim.crash / sim.restart / sim.sc_failure events
+  /// stamped with the global step counter.  Passive, like the access
+  /// observer: attaching one changes neither scheduling nor results.  The
+  /// engine's own shutdown kills in finish() are NOT events.  The explorer
   /// attaches this on counterexample replays only (exploration re-runs the
   /// factory thousands of times and would flood the bounded log).
   void set_obs_sink(obs::ObsSink* sink);
 
   /// Executes the system to quiescence (all processes finished/crashed) or
-  /// to the step limit.  May be called exactly once (and not after start()).
+  /// to the step limit: start(), then apply() each due FaultPlan event and
+  /// each scheduler pick (a kScFailure where FaultPlan::should_fail_sc says
+  /// so), then finish().  May be called exactly once (and not after start()).
   RunReport run(Scheduler& scheduler, const FaultPlan& faults = {});
 
-  // --- Incremental mode (used by the Section 3 emulation driver) ---
+  // --- Incremental mode (the explorer, replayers, the emulation driver) ---
   // start() launches the processes up to their first sync point; the caller
-  // then inspects pending operations, optionally injects results, and steps
-  // chosen processes one operation at a time.  finish() kills whatever is
-  // still parked.  Mutually exclusive with run().
+  // then inspects pending operations and applies one decision at a time —
+  // apply() for any Action, step_process() for a grant whose trace event the
+  // caller wants back, optionally after inject()ing its result.  finish()
+  // kills whatever is still parked.  Mutually exclusive with run().
 
   void start();
+  /// True iff `action` can be applied now: its pid names a parked process,
+  /// a kRestart's process has a restart hook, and a kScFailure's pending
+  /// operation is a store-conditional ("sc").
+  bool can_apply(Action action) const;
+  /// Applies one decision between start() and finish(): kGrant grants the
+  /// pid one operation (recorded in the trace when record_trace is on);
+  /// kScFailure marks its pending SC to fail spuriously and grants it;
+  /// kCrash fail-stops it; kRestart crash-restarts it — the pending
+  /// operation is ABANDONED (never performed), the stack unwinds, and the
+  /// process re-enters via its restart hook, parking at the hook's first
+  /// shared operation (or finishing).  Requires can_apply(action).
+  void apply(Action action);
   /// True iff `pid` is parked at a pending operation.
   bool is_parked(int pid) const;
   /// The operation `pid` is parked on (valid iff is_parked).
@@ -239,17 +260,10 @@ class SimEnv {
   /// Supplies the result the next step of `pid` will observe through
   /// Ctx::take_injection().
   void inject(int pid, std::int64_t value);
-  /// Grants `pid` exactly one operation; returns the completed trace event.
+  /// apply({kGrant, pid}) that also returns the completed trace event.
   TraceEvent step_process(int pid);
-  void kill_process(int pid);
-  /// Crash-restarts a parked process: its pending operation is ABANDONED
-  /// (never performed), its stack unwinds, and it re-enters via its restart
-  /// hook, parking at the hook's first shared operation (or finishing).
-  /// Requires restart_supported(pid).
+  /// apply({kRestart, pid}).
   void restart_process(int pid);
-  /// Marks the pending store-conditional of a parked process so that its
-  /// next step fails spuriously.  Requires pending_of(pid).op == "sc".
-  void inject_sc_failure(int pid);
   /// Lifetime shared-operation count of `pid` (the fault-point coordinate).
   std::uint64_t steps_of(int pid) const;
   /// The ascending pids currently parked at a pending operation — the
@@ -264,7 +278,8 @@ class SimEnv {
   RunReport snapshot_report() const;
 
   const Trace& trace() const { return trace_; }
-  /// Scheduler decisions made during run(), for ReplayScheduler.
+  /// Scheduler picks made during run() (pids; faults are not picks), for
+  /// ReplayScheduler.
   const std::vector<int>& decisions() const { return decisions_; }
   /// The virtual clock: logical ticks advanced only by granted timer
   /// operations (Ctx::sleep_until).  Deterministic per schedule; harness
@@ -299,7 +314,7 @@ class SimEnv {
     std::string error;
   };
 
-  // Entry point of every fiber: runs the process launch() is starting.
+  // Entry point of every fiber: runs the process start() is launching.
   static void fiber_entry();
   // The process's whole life on its fiber: body, restarts, final switch out.
   void fiber_main(int pid);
@@ -310,21 +325,21 @@ class SimEnv {
   void resume(int pid);
   // Fiber side: switches back to the engine (for good when `exiting`).
   void yield(Fiber& fiber, bool exiting);
-  // Grants the parked `pid` one operation inside an access window.
-  void grant(int pid, const OpDesc& granted);
+  // Grants the parked `pid` one operation inside an access window, clears a
+  // spurious-SC mark the operation did not consume, and advances the global
+  // step; returns the completed event (not yet in the trace).
+  TraceEvent grant(int pid);
   // Unwinds the parked `pid`: fail-stop, or re-entry through its restart
   // hook when `restart`.
   void crash(int pid, bool restart);
-  void launch();  // build procs_ and start each process up to its first sync
 
-  // Emits a sim.* fault-injection event through obs_sink_ (no-op when
-  // detached or during finish()'s shutdown kills).
+  // Emits a sim.* fault-action event through obs_sink_ (no-op when
+  // detached).
   void note_fault_event(const char* kind, int pid);
 
   SimOptions options_;
   audit::AccessObserver* observer_ = nullptr;
   obs::ObsSink* obs_sink_ = nullptr;
-  bool finishing_ = false;  ///< suppresses events for shutdown kills
   int window_pid_ = -1;  ///< grantee of the currently open window, or -1
   std::vector<std::function<void(Ctx&)>> bodies_;
   std::vector<std::function<void(Ctx&)>> restart_hooks_;  // empty = fail-stop only
@@ -334,7 +349,6 @@ class SimEnv {
   std::vector<int> decisions_;
   std::uint64_t step_ = 0;
   std::uint64_t virtual_now_ = 0;  ///< logical clock; timer grants advance it
-  bool ran_ = false;
   bool started_ = false;
   bool finished_ = false;
 };

@@ -37,19 +37,19 @@ using core::run_llsc_election;
 using core::run_recoverable_concurrent_election;
 using core::run_recoverable_sim_election;
 using core::verify_election;
-using explore::ActionKind;
 using explore::Counterexample;
-using explore::decode_action;
-using explore::encode_action;
 using explore::ExploreOptions;
 using explore::ExploreResult;
-using explore::kMaxActionPid;
 using explore::LlScSystem;
 using explore::OneShotSystem;
 using explore::RecoverableFvtSystem;
 using explore::ReplayOutcome;
+using sim::ActionKind;
+using sim::decode_action;
+using sim::encode_action;
 using sim::FaultKind;
 using sim::FaultPlan;
+using sim::kMaxActionPid;
 using sim::RandomScheduler;
 using sim::RoundRobinScheduler;
 
@@ -280,30 +280,31 @@ TEST(SpuriousSc, OrdinalLandsInRestartIncarnation) {
 }
 
 TEST(SpuriousSc, RestartClearsAnInjectedPendingFailure) {
-  // Incremental mode: marking a parked SC spurious and then crash-restarting
-  // the process abandons the marked operation — the mark dies with the
-  // incarnation instead of leaking onto the fresh incarnation's first SC.
+  // Incremental mode: a spurious SC failure is applied together with the
+  // grant of the SC it marks, so the mark is spent (or lapses) within that
+  // operation — crash-restarting the process afterwards leaves the fresh
+  // incarnation's first SC unmarked.
   sim::SimEnv env;
   sim::LlScRegisterK llsc("llsc", 4);
   std::vector<std::pair<int, bool>> results;  // (incarnation, sc result)
   const auto body = [&llsc, &results](sim::Ctx& ctx) {
     llsc.load_link(ctx);
     results.emplace_back(ctx.incarnation(), llsc.store_conditional(ctx, 1));
+    llsc.load_link(ctx);  // parks here until the restart below
   };
   env.add_process(body, body);
   env.start();
-  env.step_process(0);  // LL
-  ASSERT_TRUE(env.is_parked(0));
+  env.apply({ActionKind::kGrant, 0});  // LL
   ASSERT_EQ(env.pending_of(0).op, "sc");
-  env.inject_sc_failure(0);
-  env.restart_process(0);  // the marked SC is abandoned, never performed
-  env.step_process(0);     // fresh incarnation's LL
+  env.apply({ActionKind::kScFailure, 0});
+  env.apply({ActionKind::kRestart, 0});  // the next LL is abandoned
+  env.apply({ActionKind::kGrant, 0});    // fresh incarnation's LL
   ASSERT_EQ(env.pending_of(0).op, "sc");
-  env.step_process(0);
+  env.apply({ActionKind::kGrant, 0});
   env.finish();
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].first, 1);
-  EXPECT_TRUE(results[0].second);  // the stale mark must not have fired here
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[0], std::make_pair(0, false));
+  EXPECT_EQ(results[1], std::make_pair(1, true));  // no stale mark here
   EXPECT_EQ(env.snapshot_report().restarts_by_pid[0], 1);
 }
 
@@ -669,7 +670,7 @@ TEST(Artifact, ActionEncodingRoundTrips) {
       const auto action = decode_action(encoded);
       EXPECT_EQ(action.kind, kind);
       EXPECT_EQ(action.pid, pid);
-      EXPECT_EQ(explore::is_fault_action(encoded), kind != ActionKind::kGrant);
+      EXPECT_EQ(sim::is_fault_action(encoded), kind != ActionKind::kGrant);
     }
   }
 }

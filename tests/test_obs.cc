@@ -181,7 +181,7 @@ TEST(Timeline, ChromeTraceHasOneTrackPerWorkerPlusCoordinator) {
   };
   span("job", 0);
   span("job", 1);
-  span("enumerate", Timeline::kCoordinatorTrack);
+  span("merge", Timeline::kCoordinatorTrack);
 
   std::string error;
   const auto parsed = json::Value::parse(timeline.to_chrome_trace(), &error);
@@ -195,8 +195,7 @@ TEST(Timeline, ChromeTraceHasOneTrackPerWorkerPlusCoordinator) {
     const std::string& phase = object.at("ph").as_string();
     if (phase == "M") {
       named_tracks.insert(object.at("tid").as_int());
-      if (object.at("args").as_object().at("name").as_string() ==
-          "enumerate+merge") {
+      if (object.at("args").as_object().at("name").as_string() == "merge") {
         coordinator_named = true;
       }
     } else if (phase == "X") {

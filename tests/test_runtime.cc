@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <execinfo.h>
+#include <unistd.h>
 
 #include <array>
 #include <cfenv>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <stdexcept>
@@ -768,7 +771,18 @@ TEST(Substrate, UnwinderStopsAtTheFiberBase) {
   std::vector<int> log;
   int frames = -1;
   bool caught = false;
+  void* end_of_stack = &log;  // anything but null until read
   env.add_process([&](Ctx& ctx) {
+    // The fiber's stack ends at the page boundary just above the body's
+    // first frame; its last slot is the entry function's return slot, which
+    // must hold null so that unwinders stop there.
+    const auto frame =
+        reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+    const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+    const std::uintptr_t top = (frame | (page - 1)) + 1;
+    std::memcpy(&end_of_stack,
+                reinterpret_cast<const void*>(top - sizeof(void*)),
+                sizeof(void*));
     const Witness witness(log, 0);
     reg.write(ctx, 1);
     std::array<void*, 256> addresses{};
@@ -783,13 +797,15 @@ TEST(Substrate, UnwinderStopsAtTheFiberBase) {
   env.start();
   env.step_process(0);  // backtrace, throw and catch, park again
   ASSERT_TRUE(env.is_parked(0));
-  env.kill_process(0);  // ProcessCrashed unwinds to the fiber's base
+  // ProcessCrashed unwinds to the fiber's base.
+  env.apply({ActionKind::kCrash, 0});
   EXPECT_EQ(env.outcome_of(0), ProcOutcome::kCrashed);
   // The walk ends at the fiber's base instead of running on into whatever
   // lies above its stack: the body, std::function and the fiber entry are a
   // handful of frames.
   EXPECT_GT(frames, 0);
   EXPECT_LT(frames, 32);
+  EXPECT_EQ(end_of_stack, nullptr);
   EXPECT_TRUE(caught);
   EXPECT_EQ(lifetimes(log, 0), std::make_pair(1, 1));
 }
