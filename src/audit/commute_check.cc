@@ -32,8 +32,8 @@ ReplayResult strict_replay(const explore::ExplorableSystem& system,
                            const std::vector<int>& tape,
                            std::uint64_t max_depth) {
   ReplayResult result;
-  explore::SystemRun run(system, {max_depth, true});
-  sim::SimEnv& env = run.env;
+  sim::SimEnv env;
+  explore::SystemRun run(system, env, {max_depth, true});
 
   std::uint64_t granted = 0;
   bool applied = true;

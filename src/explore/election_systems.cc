@@ -64,16 +64,23 @@ std::optional<std::string> check_outcomes(
     const std::int64_t mine = elected[static_cast<std::size_t>(pid)];
     if (leader == -1) leader = mine;
     if (mine != leader) {
-      std::ostringstream out;
-      out << "inconsistent: p" << pid << " elected " << mine
-          << " but an earlier process elected " << leader;
-      return out.str();
+      // Appended into one buffer, not streamed: a refuted mutant's sweep
+      // builds one of these per schedule, and an ostringstream costs far
+      // more.
+      std::string text;
+      text.reserve(96);
+      text += "inconsistent: p";
+      text += std::to_string(pid);
+      text += " elected ";
+      text += std::to_string(mine);
+      text += " but an earlier process elected ";
+      text += std::to_string(leader);
+      return text;
     }
   }
   if (leader != -1 && (leader < kIdBase || leader >= kIdBase + n)) {
-    std::ostringstream out;
-    out << "invalid: elected id " << leader << " was never proposed";
-    return out.str();
+    return "invalid: elected id " + std::to_string(leader) +
+           " was never proposed";
   }
   return std::nullopt;
 }

@@ -178,6 +178,22 @@ struct UnitResult {
   bool skipped = false;         ///< past a confirmed stop; results dropped
 };
 
+/// The metric cells run_one bumps on every run.  A lookup by name builds
+/// its key string, so each cell is looked up in the shard at its first use
+/// and reused after.  Looking up on use, not up front, keeps the shard's
+/// names exactly the ones the worker bumps, so runreports do not change.
+struct RunCells {
+  std::uint64_t* schedules = nullptr;
+  std::uint64_t* transitions = nullptr;
+  std::uint64_t* timer_grants = nullptr;
+  std::uint64_t* faults_injected = nullptr;
+  std::uint64_t* max_depth_seen = nullptr;  ///< a max-gauge
+  obs::HistogramData* schedule_depth = nullptr;
+  std::uint64_t* pruned_runs = nullptr;
+  std::uint64_t* fingerprint_prunes = nullptr;
+  std::uint64_t* truncated = nullptr;
+};
+
 /// Observability context threaded through the hot loop: the sink (null =
 /// off), the caller's single-writer metric shard, and the logical worker id
 /// events are attributed to.  Strictly passive — nothing here may influence
@@ -187,7 +203,15 @@ struct ObsCtx {
   obs::MetricShard* shard = nullptr;
   int worker = obs::Event::kCoordinator;
   obs::PhaseProfiler* profiler = nullptr;
+  RunCells cells;  ///< cells of `shard`, looked up on first use
 };
+
+/// The counter `name` of `shard`, looked up once and kept in `cell`.
+std::uint64_t& counter_cell(obs::MetricShard& shard, std::uint64_t*& cell,
+                            const char* name) {
+  if (cell == nullptr) cell = &shard.counter(name);
+  return *cell;
+}
 
 ObsCtx make_obs_ctx(obs::ObsSink* sink, int worker) {
   ObsCtx octx;
@@ -282,23 +306,18 @@ int select_choice(const Frame& frame, const PassState& pass) {
 /// advance() park here and make_frame reuses them, so the per-step vector
 /// and string capacities (runnable/pending/entry_sleep/done, the OpDesc
 /// object/op strings inside `pending`) circulate instead of being
-/// reallocated on every node.  Strictly an allocation cache — nothing in
-/// here influences an exploration decision.
+/// reallocated on every node.  Every run of the worker reset()s the same
+/// SimEnv and fills the same RunReport, so a warm worker's runs allocate
+/// only what the system's make() and check() do.  Strictly an allocation
+/// cache — nothing in here influences an exploration decision.
 struct Scratch {
   std::vector<Frame> spare;             ///< recycled frames, fields cleared
   std::vector<int> runnable;            ///< per-step parked-set buffer
   std::vector<int> actions;             ///< per-run decision-tape buffer
   std::vector<FaultPoint> fault_points; ///< per-run fault-site buffer
+  sim::SimEnv env;                      ///< every run's env, reset per run
+  sim::RunReport report;                ///< every checked run's report
 };
-
-/// Fills `scratch.runnable` with the parked pids (ascending), reusing the
-/// buffer's capacity instead of allocating per step.
-void fill_parked(const sim::SimEnv& env, std::vector<int>& runnable) {
-  runnable.clear();
-  for (int pid = 0; pid < env.process_count(); ++pid) {
-    if (env.is_parked(pid)) runnable.push_back(pid);
-  }
-}
 
 /// Pulls a recycled frame from the arena (or default-constructs one): all
 /// fields reset, vector/string capacities preserved.
@@ -584,7 +603,7 @@ struct RunOutcome {
 /// faults, fault points, audit counters) are buffered and committed once,
 /// when the run ends.
 RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
-                   PassState& pass, UnitResult& unit, const ObsCtx& octx,
+                   PassState& pass, UnitResult& unit, ObsCtx& octx,
                    Scratch& scratch) {
   const obs::ScopedPhase step_scope(octx.profiler, obs::Phase::kStep);
   RunOutcome outcome;
@@ -606,7 +625,7 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
       unit.audit.ledger_violations += auditor->violation_count();
     }
   };
-  SystemRun run(system, {opts.max_depth, opts.record_trace},
+  SystemRun run(system, scratch.env, {opts.max_depth, opts.record_trace},
                 auditor.has_value() ? &*auditor : nullptr);
   sim::SimEnv& env = run.env;
   SystemInstance& instance = *run.instance;
@@ -617,7 +636,7 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
   std::uint64_t granted = 0;
   bool truncated = false;
   for (;;) {
-    fill_parked(env, scratch.runnable);
+    env.parked_processes(scratch.runnable);
     if (scratch.runnable.empty()) break;
     if (granted >= opts.max_depth) {
       truncated = true;
@@ -650,8 +669,10 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
         env.finish();
         commit();
         if (octx.shard != nullptr) {
-          ++octx.shard->counter("explore.fingerprint_prunes");
-          ++octx.shard->counter("explore.pruned_runs");
+          ++counter_cell(*octx.shard, octx.cells.fingerprint_prunes,
+                         "explore.fingerprint_prunes");
+          ++counter_cell(*octx.shard, octx.cells.pruned_runs,
+                         "explore.pruned_runs");
         }
         outcome.pruned = true;
         return outcome;
@@ -667,7 +688,10 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
       if (choice == kNoChoice) {
         env.finish();
         commit();
-        if (octx.shard != nullptr) ++octx.shard->counter("explore.pruned_runs");
+        if (octx.shard != nullptr) {
+          ++counter_cell(*octx.shard, octx.cells.pruned_runs,
+                         "explore.pruned_runs");
+        }
         outcome.pruned = true;  // prune kinds were accounted above
         return outcome;
       }
@@ -696,25 +720,36 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
   ++unit.stats.schedules;
   unit.stats.max_depth_seen = std::max(unit.stats.max_depth_seen, granted);
   if (octx.shard != nullptr) {
-    ++octx.shard->counter("explore.schedules");
-    octx.shard->counter("explore.transitions") += run_transitions;
-    octx.shard->counter("explore.timer_grants") += run_timer_grants;
-    octx.shard->counter("explore.faults_injected") += run_faults;
-    octx.shard->gauge_max("explore.max_depth_seen", granted);
-    octx.shard->histogram("explore.schedule_depth", depth_bounds())
-        .observe(granted);
+    RunCells& cells = octx.cells;
+    if (cells.schedules == nullptr) {  // every completed run bumps all six
+      cells.schedules = &octx.shard->counter("explore.schedules");
+      cells.transitions = &octx.shard->counter("explore.transitions");
+      cells.timer_grants = &octx.shard->counter("explore.timer_grants");
+      cells.faults_injected = &octx.shard->counter("explore.faults_injected");
+      cells.max_depth_seen = &octx.shard->gauge("explore.max_depth_seen");
+      cells.schedule_depth =
+          &octx.shard->histogram("explore.schedule_depth", depth_bounds());
+    }
+    ++*cells.schedules;
+    *cells.transitions += run_transitions;
+    *cells.timer_grants += run_timer_grants;
+    *cells.faults_injected += run_faults;
+    *cells.max_depth_seen = std::max(*cells.max_depth_seen, granted);
+    cells.schedule_depth->observe(granted);
   }
   if (truncated) {
     ++unit.stats.truncated;
-    if (octx.shard != nullptr) ++octx.shard->counter("explore.truncated");
+    if (octx.shard != nullptr) {
+      ++counter_cell(*octx.shard, octx.cells.truncated, "explore.truncated");
+    }
     outcome.truncated = true;
     // The depth valve cut this run short: everything on the path is
     // incompletely covered.
     if (pass.fp_prune) mark_path_dirty(pass);
     return outcome;
   }
-  const sim::RunReport report = env.snapshot_report();
-  outcome.violation = instance.check(env, report);
+  env.snapshot_report(scratch.report);
+  outcome.violation = instance.check(env, scratch.report);
   if (!outcome.violation.has_value() && auditor.has_value() &&
       !auditor->clean()) {
     // Ledger / footprint violations become ordinary counterexamples (so
@@ -729,7 +764,9 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
     // A violating path must never enter the cache clean: pruning it in a
     // later pass would suppress re-finding the violation.
     if (pass.fp_prune) mark_path_dirty(pass);
-    outcome.decisions = std::move(actions);
+    // A copy: moving would hand the worker's tape buffer to the
+    // counterexample, and the next run would grow a new one.
+    outcome.decisions = actions;
   } else if (auditor.has_value() &&
              commute_sampled(actions, opts.audit_commute_sample)) {
     // Differential cross-check of the POR commutation oracle: replay this
@@ -794,9 +831,9 @@ TapeResult run_tape(const ExplorableSystem& system, const ExploreOptions& opts,
   // attached only on explicit replays: exploration re-runs the factory
   // thousands of times and would drown the bounded event log.  Checks may
   // read the trace on replay, so it is always recorded.
-  SystemRun run(system, {opts.max_depth, true},
+  sim::SimEnv env;
+  SystemRun run(system, env, {opts.max_depth, true},
                 auditor.has_value() ? &*auditor : nullptr, env_sink);
-  sim::SimEnv& env = run.env;
   const int n = env.process_count();
 
   std::size_t next = 0;
@@ -804,7 +841,7 @@ TapeResult run_tape(const ExplorableSystem& system, const ExploreOptions& opts,
   std::uint64_t granted = 0;
   std::vector<int> parked;
   for (;;) {
-    fill_parked(env, parked);
+    env.parked_processes(parked);
     if (parked.empty()) break;
     if (granted >= opts.max_depth) {
       result.truncated = true;
@@ -881,12 +918,15 @@ void record_violation(UnitResult& unit, Counterexample cex) {
   unit.checkpoints.push_back(std::move(cp));
 }
 
+/// `system_name` is system.name(), which the caller builds once rather than
+/// once per violation.
 Counterexample build_counterexample(const ExplorableSystem& system,
+                                    const std::string& system_name,
                                     const ExploreOptions& opts,
                                     RunOutcome&& outcome, ExploreStats& stats,
                                     const ObsCtx& octx) {
   Counterexample cex;
-  cex.system = system.name();
+  cex.system = system_name;
   cex.processes = system.process_count();
   cex.violation = std::move(*outcome.violation);
   cex.decisions = std::move(outcome.decisions);
@@ -1144,11 +1184,11 @@ StealUnit materialize_steal_unit(const ExplorableSystem& system,
   unit.floor = static_cast<std::size_t>(cu.floor);
 
   PassState pass = base;
-  SystemRun run(system, {opts.max_depth, false});
-  sim::SimEnv& env = run.env;
   Scratch scratch;
+  SystemRun run(system, scratch.env, {opts.max_depth, false});
+  sim::SimEnv& env = run.env;
   for (const CheckpointFrame& cf : cu.frames) {
-    fill_parked(env, scratch.runnable);
+    env.parked_processes(scratch.runnable);
     expects(!scratch.runnable.empty(),
             "checkpoint frontier replays past quiescence");
     const Frame* parent = pass.frames.empty() ? nullptr : &pass.frames.back();
@@ -1474,7 +1514,8 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
 
   const auto worker = [&](int worker_index) {
     try {
-      const ObsCtx octx = make_obs_ctx(sink, worker_index);
+      ObsCtx octx = make_obs_ctx(sink, worker_index);
+      const std::string system_name = system.name();
       WorkerBeat* const beat =
           beats != nullptr ? &beats[worker_index] : nullptr;
       if (events) {
@@ -1611,9 +1652,9 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
             }
           }
           if (outcome.violation.has_value()) {
-            record_violation(
-                local, build_counterexample(system, opts, std::move(outcome),
-                                            local.stats, octx));
+            record_violation(local, build_counterexample(
+                                        system, system_name, opts,
+                                        std::move(outcome), local.stats, octx));
             if (opts.stop_at_first_violation ||
                 local.violations.size() >= quota) {
               local.stopped = true;

@@ -73,24 +73,38 @@ class ExplorableSystem {
 /// A fresh instance of `system` populated into a started SimEnv: the
 /// preamble of every run that the explorer, its replayer and the
 /// commutation cross-check drive one decision at a time through
-/// SimEnv::apply.  `observer` and `sink` are attached before start() when
-/// non-null.  `env` is destroyed first, so still-parked bodies unwind while
-/// the instance's shared state is alive.
+/// SimEnv::apply.  The SimEnv is borrowed, not owned: the constructor
+/// reset()s it with `options`, so a caller that keeps one SimEnv for many
+/// runs (each explorer worker does) reuses its memory.  `observer` and
+/// `sink` are attached before start() when non-null.  The destructor
+/// finishes `env` before `instance` dies, so still-parked bodies unwind
+/// while the instance's shared state is alive — also when the run is left
+/// by an exception.
 struct SystemRun {
-  SystemRun(const ExplorableSystem& system, sim::SimOptions options,
-            audit::AccessObserver* observer = nullptr,
+  SystemRun(const ExplorableSystem& system, sim::SimEnv& borrowed,
+            sim::SimOptions options, audit::AccessObserver* observer = nullptr,
             obs::ObsSink* sink = nullptr)
-      : instance(system.make()), env(options) {
+      : instance(system.make()), env(borrowed) {
+    env.reset(options);
     instance->populate(env);
     expects(env.process_count() <= 64,
             "the fault-aware explorer supports at most 64 processes");
     if (observer != nullptr) env.set_access_observer(observer);
     if (sink != nullptr) env.set_obs_sink(sink);
-    env.start();
+    try {
+      env.start();
+    } catch (...) {
+      env.finish();  // the destructor does not run for a throwing constructor
+      throw;
+    }
   }
+  ~SystemRun() { env.finish(); }
+
+  SystemRun(const SystemRun&) = delete;
+  SystemRun& operator=(const SystemRun&) = delete;
 
   std::unique_ptr<SystemInstance> instance;
-  sim::SimEnv env;
+  sim::SimEnv& env;
 };
 
 /// Instance helper for ad-hoc systems (tests, user invariants): owns a State

@@ -60,8 +60,12 @@ std::uint64_t& MetricShard::counter(const std::string& name) {
 }
 
 void MetricShard::gauge_max(const std::string& name, std::uint64_t value) {
-  auto& cell = gauges_[name];
+  auto& cell = gauge(name);
   cell = std::max(cell, value);
+}
+
+std::uint64_t& MetricShard::gauge(const std::string& name) {
+  return gauges_[name];
 }
 
 HistogramData& MetricShard::histogram(
@@ -70,8 +74,9 @@ HistogramData& MetricShard::histogram(
   if (it == histograms_.end()) {
     return histograms_.emplace(name, HistogramData(bounds)).first->second;
   }
-  expects(it->second.bounds == bounds,
-          "histogram re-registered with different bounds: " + name);
+  if (it->second.bounds != bounds) {
+    expects(false, "histogram re-registered with different bounds: " + name);
+  }
   return it->second;
 }
 

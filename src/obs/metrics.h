@@ -57,6 +57,9 @@ class MetricShard {
   std::uint64_t& counter(const std::string& name);
   /// Named max-gauge: merged with max, not sum.
   void gauge_max(const std::string& name, std::uint64_t value);
+  /// The max-gauge's cell, stable like a counter's so a hot loop can hoist
+  /// it; raise it with std::max.
+  std::uint64_t& gauge(const std::string& name);
   /// Named histogram; creates it with `bounds` on first use and verifies
   /// the same bounds on every later one.
   HistogramData& histogram(const std::string& name,

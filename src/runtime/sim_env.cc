@@ -319,6 +319,35 @@ SimEnv::~SimEnv() {
   }
 }
 
+void SimEnv::reset(SimOptions options) {
+  finish();  // a run abandoned mid-way unwinds its parked processes first
+  for (Proc& proc : procs_) {
+    proc.ctx->steps_taken_ = 0;
+    proc.ctx->incarnation_ = 0;
+    proc.state = State::kCreated;
+    proc.crash_requested = false;
+    proc.restart_requested = false;
+    proc.sc_failure_pending = false;
+    proc.restarts = 0;
+    proc.last_result.reset();
+    proc.injection.reset();
+    proc.outcome = ProcOutcome::kUnstarted;
+    proc.error.clear();
+  }
+  bodies_.clear();
+  restart_hooks_.clear();
+  trace_.clear();
+  decisions_.clear();
+  options_ = options;
+  observer_ = nullptr;
+  obs_sink_ = nullptr;
+  window_pid_ = -1;
+  step_ = 0;
+  virtual_now_ = 0;
+  started_ = false;
+  finished_ = false;
+}
+
 int SimEnv::add_process(std::function<void(Ctx&)> body) {
   expects(!started_, "SimEnv::add_process after the run began");
   bodies_.push_back(std::move(body));
@@ -493,11 +522,13 @@ void SimEnv::start() {
   started_ = true;
   const int n = process_count();
   expects(n > 0, "SimEnv started with no processes");
+  // Records left by a run before reset() are reused as they are (reset()
+  // cleared them); only new pids get a Ctx.
   procs_.resize(static_cast<std::size_t>(n));
-  engine_ = std::make_unique<Engine>();
+  if (engine_ == nullptr) engine_ = std::make_unique<Engine>();
   for (int pid = 0; pid < n; ++pid) {
-    procs_[static_cast<std::size_t>(pid)].ctx =
-        std::unique_ptr<Ctx>(new Ctx(this, pid));
+    auto& ctx = procs_[static_cast<std::size_t>(pid)].ctx;
+    if (ctx == nullptr) ctx = std::unique_ptr<Ctx>(new Ctx(this, pid));
   }
   // Launch only after procs_ is fully built (fibers index into it), and one
   // at a time: each process runs to its first sync point (or completion)
@@ -599,29 +630,39 @@ std::uint64_t SimEnv::steps_of(int pid) const {
 
 std::vector<int> SimEnv::parked_processes() const {
   std::vector<int> parked;
-  for (int pid = 0; pid < process_count(); ++pid) {
-    if (is_parked(pid)) parked.push_back(pid);
-  }
+  parked_processes(parked);
   return parked;
 }
 
-RunReport SimEnv::snapshot_report() const {
-  const int n = process_count();
-  RunReport report;
-  report.total_steps = step_;
-  report.outcomes.resize(static_cast<std::size_t>(n));
-  report.errors.resize(static_cast<std::size_t>(n));
-  report.steps_by_pid.resize(static_cast<std::size_t>(n));
-  report.restarts_by_pid.resize(static_cast<std::size_t>(n));
-  for (int pid = 0; pid < n; ++pid) {
-    const Proc& proc = procs_[static_cast<std::size_t>(pid)];
-    report.outcomes[static_cast<std::size_t>(pid)] = proc.outcome;
-    report.errors[static_cast<std::size_t>(pid)] = proc.error;
-    report.steps_by_pid[static_cast<std::size_t>(pid)] =
-        proc.ctx ? proc.ctx->steps_taken() : 0;
-    report.restarts_by_pid[static_cast<std::size_t>(pid)] = proc.restarts;
+void SimEnv::parked_processes(std::vector<int>& parked) const {
+  parked.clear();
+  // procs_, not process_count(): before start() the two can differ.
+  for (int pid = 0; pid < static_cast<int>(procs_.size()); ++pid) {
+    if (is_parked(pid)) parked.push_back(pid);
   }
+}
+
+RunReport SimEnv::snapshot_report() const {
+  RunReport report;
+  snapshot_report(report);
   return report;
+}
+
+void SimEnv::snapshot_report(RunReport& report) const {
+  const auto n = static_cast<std::size_t>(process_count());
+  report.total_steps = step_;
+  report.step_limit_hit = false;
+  report.outcomes.resize(n);
+  report.errors.resize(n);
+  report.steps_by_pid.resize(n);
+  report.restarts_by_pid.resize(n);
+  for (std::size_t pid = 0; pid < n; ++pid) {
+    const Proc& proc = procs_[pid];
+    report.outcomes[pid] = proc.outcome;
+    report.errors[pid] = proc.error;
+    report.steps_by_pid[pid] = proc.ctx ? proc.ctx->steps_taken() : 0;
+    report.restarts_by_pid[pid] = proc.restarts;
+  }
 }
 
 void SimEnv::finish() {
@@ -652,6 +693,7 @@ RunReport SimEnv::run(Scheduler& scheduler, const FaultPlan& faults) {
   std::vector<std::size_t> fault_cursor(static_cast<std::size_t>(n), 0);
   std::vector<std::uint64_t> sc_granted(static_cast<std::size_t>(n), 0);
 
+  std::vector<int> runnable;
   bool limit_hit = false;
   for (;;) {
     // Apply due fault events to every parked process first.  A restart
@@ -667,7 +709,7 @@ RunReport SimEnv::run(Scheduler& scheduler, const FaultPlan& faults) {
         refresh_view(pid);
       }
     }
-    std::vector<int> runnable = parked_processes();
+    parked_processes(runnable);
     if (runnable.empty()) break;
     if (step_ >= options_.step_limit) {
       limit_hit = true;

@@ -52,6 +52,15 @@
 // from a per-OS-thread pool and go back to it as each process ends.  A SimEnv
 // must be driven from one thread for its whole life.
 //
+// Reuse: one run per SimEnv life cycle — populate, run() or start()..
+// finish() — and reset() begins the next one on the same object.  reset()
+// keeps the memory of the last run (the per-process records and Ctx
+// objects, the engine context, the body and hook lists, the trace), so a
+// caller that runs many short schedules (the explorer keeps one SimEnv per
+// worker) allocates nothing for the environment once it is warm.  Bodies
+// capture their system's shared state by reference, so finish() — or
+// reset(), which finishes first — must run while that state is alive.
+//
 // Rules for process bodies: never call Ctx::sync() (any shared operation)
 // inside a catch handler.  The C++ runtime keeps its caught-exception stack
 // per OS thread, so fibers interleaving inside handlers would corrupt it.
@@ -227,8 +236,17 @@ class SimEnv {
   /// Executes the system to quiescence (all processes finished/crashed) or
   /// to the step limit: start(), then apply() each due FaultPlan event and
   /// each scheduler pick (a kScFailure where FaultPlan::should_fail_sc says
-  /// so), then finish().  May be called exactly once (and not after start()).
+  /// so), then finish().  Once per run: not after start() or a previous
+  /// run() until reset().
   RunReport run(Scheduler& scheduler, const FaultPlan& faults = {});
+
+  /// Returns the env to the state of a freshly constructed SimEnv(options):
+  /// finishes a run still in progress (its parked processes unwind, so the
+  /// state their bodies captured must still be alive), then drops every
+  /// body, restart hook, observer, sink, trace event and decision, and
+  /// zeroes the step counter and the virtual clock.  The capacity behind
+  /// them is kept for the next run.  Also valid on a never-started env.
+  void reset(SimOptions options = {});
 
   // --- Incremental mode (the explorer, replayers, the emulation driver) ---
   // start() launches the processes up to their first sync point; the caller
@@ -270,12 +288,18 @@ class SimEnv {
   /// explorer's runnable set (and the frame-replay validation set when a
   /// checkpointed frontier is re-materialized on a fresh SimEnv).
   std::vector<int> parked_processes() const;
+  /// The same set written into `parked`, reusing its capacity: the form for
+  /// loops that ask once per step.
+  void parked_processes(std::vector<int>& parked) const;
   void finish();
 
   /// Builds a RunReport from the current process states.  Meaningful once
   /// every process is parked or finished (e.g. after finish()); the caller
   /// sets step_limit_hit, which incremental mode does not track.
   RunReport snapshot_report() const;
+  /// The same report written into `report` (step_limit_hit cleared),
+  /// reusing the capacity of its vectors and strings.
+  void snapshot_report(RunReport& report) const;
 
   const Trace& trace() const { return trace_; }
   /// Scheduler picks made during run() (pids; faults are not picks), for
@@ -300,7 +324,7 @@ class SimEnv {
   struct Engine;  // the engine's saved context (sim_env.cc)
 
   struct Proc {
-    std::unique_ptr<Ctx> ctx;
+    std::unique_ptr<Ctx> ctx;  // kept across reset(), like the Proc itself
     std::unique_ptr<Fiber> fiber;  // null before launch and once kDone
     State state = State::kCreated;
     bool crash_requested = false;
@@ -343,7 +367,7 @@ class SimEnv {
   int window_pid_ = -1;  ///< grantee of the currently open window, or -1
   std::vector<std::function<void(Ctx&)>> bodies_;
   std::vector<std::function<void(Ctx&)>> restart_hooks_;  // empty = fail-stop only
-  std::vector<Proc> procs_;
+  std::vector<Proc> procs_;  // sized by start(); entries outlive reset()
   std::unique_ptr<Engine> engine_;
   Trace trace_;
   std::vector<int> decisions_;

@@ -7,6 +7,7 @@
 #include <source_location>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <type_traits>
 
 namespace bss {
@@ -19,13 +20,37 @@ class InvariantError : public std::logic_error {
   using std::logic_error::logic_error;
 };
 
-/// Checks a precondition/invariant; throws InvariantError with location info.
-inline void expects(bool condition, const std::string& what,
-                    std::source_location loc = std::source_location::current()) {
-  if (!condition) {
-    throw InvariantError(std::string(loc.file_name()) + ":" +
-                         std::to_string(loc.line()) + ": " + what);
+/// The part of a source path that failure messages print: from its last
+/// `src/` component on, or the bare file name when it has none.  A message
+/// thus reads the same whatever directory the tree was checked out or built
+/// in, and so do the counterexample artifacts that carry it.
+constexpr std::string_view source_path(std::string_view file) {
+  if (const auto at = file.rfind("/src/"); at != std::string_view::npos) {
+    return file.substr(at + 1);
   }
+  if (file.starts_with("src/")) return file;
+  const auto slash = file.rfind('/');
+  return slash == std::string_view::npos ? file : file.substr(slash + 1);
+}
+
+/// Throws the InvariantError of a failed expects(): out of line, so the
+/// check itself inlines to a test and a branch.
+[[noreturn, gnu::noinline]] inline void invariant_failed(
+    std::string_view what, const std::source_location& loc) {
+  std::string message(source_path(loc.file_name()));
+  message += ':';
+  message += std::to_string(loc.line());
+  message += ": ";
+  message += what;
+  throw InvariantError(message);
+}
+
+/// Checks a precondition/invariant; throws InvariantError with location info.
+/// `what` is a view, so a literal message costs nothing when the check
+/// passes; build a composed message only on the failure path.
+inline void expects(bool condition, std::string_view what,
+                    std::source_location loc = std::source_location::current()) {
+  if (!condition) [[unlikely]] invariant_failed(what, loc);
 }
 
 /// Cast that throws if the value does not round-trip (GSL narrow).

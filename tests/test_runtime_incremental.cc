@@ -2,14 +2,19 @@
 // mechanism the explorer and the Section 3 emulation drive processes with.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "audit/ledger.h"
 #include "registers/ll_sc.h"
 #include "registers/mwmr_register.h"
 #include "runtime/fault_plan.h"
 #include "runtime/scheduler.h"
 #include "runtime/sim_env.h"
+#include "util/rng.h"
 
 namespace bss::sim {
 namespace {
@@ -353,6 +358,220 @@ TEST(Apply, AnUnconsumedSpuriousScMarkLapses) {
   env.finish();
   EXPECT_EQ(env.outcome_of(0), ProcOutcome::kFinished);
   EXPECT_FALSE(next_op_saw_mark);
+}
+
+// ------------------------------------------------------------------ reset
+
+/// Counts the access windows an env opens while the observer is attached.
+struct WindowCounter final : audit::AccessObserver {
+  void on_window_begin(int, const OpDesc&, std::uint64_t) override {
+    ++windows;
+  }
+  void on_window_end(int, bool) override {}
+  void on_access(int, const std::string&, audit::AccessKind,
+                 std::uint64_t) override {}
+  std::uint64_t windows = 0;
+};
+
+/// MixedSystem's processes, the first `n` of them, all restartable, each
+/// holding a guard local for as long as its body runs: `live` counts bodies
+/// not yet returned or unwound.  A restarted sleeper (pid 2) fails.
+struct GuardedSystem {
+  struct Guard {
+    explicit Guard(int& count) : live(count) { ++live; }
+    ~Guard() { --live; }
+    Guard(const Guard&) = delete;
+    Guard& operator=(const Guard&) = delete;
+    int& live;
+  };
+
+  GuardedSystem(int n, int& live_count) : processes(n), live(live_count) {}
+
+  void populate(SimEnv& env) {
+    const auto writer = [this](Ctx& ctx) {
+      const Guard guard(live);
+      reg.write(ctx, 10 + ctx.incarnation());
+      reg.write(ctx, 20 + ctx.incarnation());
+    };
+    env.add_process(writer, writer);
+    const auto linker = [this](Ctx& ctx) {
+      const Guard guard(live);
+      for (int value = 1; value <= 2; ++value) {
+        llsc.load_link(ctx);
+        (void)llsc.store_conditional(ctx, value);
+      }
+    };
+    env.add_process(linker, linker);
+    if (processes < 3) return;
+    const auto sleeper = [this](Ctx& ctx) {
+      const Guard guard(live);
+      ctx.sleep_until(5);
+      // A restarted sleeper fails, so some runs carry an error text.
+      if (ctx.incarnation() > 0) throw std::runtime_error("sleeper restarted");
+      (void)reg.read(ctx);
+      reg.write(ctx, 99);
+    };
+    env.add_process(sleeper, sleeper);
+  }
+
+  int processes;
+  int& live;
+  MwmrRegister<int> reg{"r", 0};
+  LlScRegisterK llsc{"llsc", 4};
+};
+
+/// What one run leaves behind, for comparing a reused env with a fresh one.
+struct RunResult {
+  std::vector<TraceEvent> events;
+  RunReport report;
+  std::uint64_t virtual_now = 0;
+  std::vector<std::uint64_t> steps;
+  std::vector<int> decisions;
+};
+
+RunResult observe(const SimEnv& env, const RunReport& report) {
+  RunResult result{env.trace().events(), report, env.virtual_now(), {},
+                   env.decisions()};
+  for (int pid = 0; pid < env.process_count(); ++pid) {
+    result.steps.push_back(env.steps_of(pid));
+  }
+  return result;
+}
+
+void expect_same_run(const RunResult& reused, const RunResult& fresh,
+                     int schedule) {
+  ASSERT_EQ(reused.events.size(), fresh.events.size()) << "schedule " << schedule;
+  for (std::size_t i = 0; i < fresh.events.size(); ++i) {
+    const TraceEvent& x = reused.events[i];
+    const TraceEvent& y = fresh.events[i];
+    EXPECT_TRUE(x.step == y.step && x.pid == y.pid &&
+                x.desc.object == y.desc.object && x.desc.op == y.desc.op &&
+                x.desc.arg0 == y.desc.arg0 && x.desc.arg1 == y.desc.arg1 &&
+                x.has_result == y.has_result && x.result == y.result)
+        << "schedule " << schedule << " event " << i;
+  }
+  EXPECT_EQ(reused.report.summary(), fresh.report.summary())
+      << "schedule " << schedule;
+  EXPECT_EQ(reused.report.total_steps, fresh.report.total_steps);
+  EXPECT_EQ(reused.report.step_limit_hit, fresh.report.step_limit_hit);
+  EXPECT_EQ(reused.report.outcomes, fresh.report.outcomes);
+  EXPECT_EQ(reused.report.errors, fresh.report.errors);
+  EXPECT_EQ(reused.report.steps_by_pid, fresh.report.steps_by_pid);
+  EXPECT_EQ(reused.report.restarts_by_pid, fresh.report.restarts_by_pid);
+  EXPECT_EQ(reused.virtual_now, fresh.virtual_now) << "schedule " << schedule;
+  EXPECT_EQ(reused.steps, fresh.steps) << "schedule " << schedule;
+  EXPECT_EQ(reused.decisions, fresh.decisions) << "schedule " << schedule;
+}
+
+/// One seeded random schedule of `env`, already populated: every fourth
+/// through run() with a random scheduler and fault plan, the others through
+/// apply() with random grants, crashes, restarts and spurious SC failures.
+/// Returns false when the schedule stops early with processes still parked.
+bool drive(SimEnv& env, int schedule, RunReport& report) {
+  const auto seed = static_cast<std::uint64_t>(schedule);
+  if (schedule % 4 == 0) {
+    Rng plan_rng(seed);
+    RandomScheduler scheduler(seed);
+    report = env.run(scheduler, FaultPlan::random(env.process_count(), 0.2,
+                                                  0.3, 0.3, 4, plan_rng));
+    return true;
+  }
+  Rng rng(seed);
+  // One schedule in five is abandoned after a few decisions.
+  const std::uint64_t stop_after =
+      schedule % 5 == 3 ? 1 + rng.next_below(4) : ~std::uint64_t{0};
+  env.start();
+  std::vector<int> parked;
+  for (std::uint64_t taken = 0;; ++taken) {
+    env.parked_processes(parked);
+    if (parked.empty()) break;
+    if (taken == stop_after) return false;
+    const int pid = parked[rng.next_below(parked.size())];
+    Action action{ActionKind::kGrant, pid};
+    switch (rng.next_below(8)) {
+      case 0: action.kind = ActionKind::kCrash; break;
+      case 1: action.kind = ActionKind::kRestart; break;
+      case 2: action.kind = ActionKind::kScFailure; break;
+      default: break;
+    }
+    if (!env.can_apply(action)) action.kind = ActionKind::kGrant;
+    env.apply(action);
+  }
+  env.finish();
+  env.snapshot_report(report);
+  return true;
+}
+
+TEST(Reset, AReusedEnvRunsLikeAFreshOne) {
+  SimEnv reused;
+  WindowCounter observer;
+  int live = 0;
+  // The reused env's previous system: it must outlive the reset() that
+  // unwinds an abandoned run's parked bodies.
+  std::unique_ptr<GuardedSystem> previous;
+  RunReport reused_report;
+  for (int schedule = 0; schedule < 120; ++schedule) {
+    const int n = schedule % 3 == 1 ? 2 : 3;  // 3 -> 2 -> 3 processes
+    const bool observed = schedule % 5 == 2;
+    const SimOptions options{10'000, schedule % 7 != 6};
+
+    auto system = std::make_unique<GuardedSystem>(n, live);
+    reused.reset(options);
+    EXPECT_EQ(live, 0) << "reset() left a body of schedule " << schedule - 1
+                       << " parked";
+    previous = nullptr;
+    system->populate(reused);
+    const std::uint64_t windows_before = observer.windows;
+    if (observed) reused.set_access_observer(&observer);
+    const bool completed = drive(reused, schedule, reused_report);
+    const std::uint64_t windows = observer.windows - windows_before;
+    if (!observed) {
+      EXPECT_EQ(windows, 0u) << "schedule " << schedule
+                             << " still reports to an earlier observer";
+    }
+
+    int fresh_live = 0;
+    GuardedSystem fresh_system(n, fresh_live);
+    SimEnv fresh(options);
+    fresh_system.populate(fresh);
+    WindowCounter fresh_observer;
+    if (observed) fresh.set_access_observer(&fresh_observer);
+    RunReport fresh_report;
+    EXPECT_EQ(drive(fresh, schedule, fresh_report), completed);
+    EXPECT_EQ(fresh_observer.windows, windows) << "schedule " << schedule;
+    if (!completed) {
+      // Abandoned: compare the state at the stop, before either unwinds.
+      reused.snapshot_report(reused_report);
+      fresh.snapshot_report(fresh_report);
+      EXPECT_GT(live, 0) << "schedule " << schedule;
+    }
+    expect_same_run(observe(reused, reused_report),
+                    observe(fresh, fresh_report), schedule);
+    EXPECT_EQ(system->reg.peek(), fresh_system.reg.peek())
+        << "schedule " << schedule;
+    fresh.finish();
+    previous = std::move(system);
+  }
+  reused.reset();
+  EXPECT_EQ(live, 0);
+  EXPECT_GT(observer.windows, 0u);
+}
+
+TEST(Reset, ANeverStartedEnvResetsAndRuns) {
+  SimEnv env;
+  int live = 0;
+  GuardedSystem unused(3, live);
+  unused.populate(env);
+  env.reset();
+  EXPECT_EQ(env.process_count(), 0);
+  EXPECT_TRUE(env.parked_processes().empty());
+  GuardedSystem system(2, live);
+  system.populate(env);
+  RoundRobinScheduler scheduler;
+  const RunReport report = env.run(scheduler);
+  EXPECT_EQ(report.finished_count(), 2);
+  EXPECT_EQ(report.outcomes.size(), 2u);
+  EXPECT_EQ(live, 0);
 }
 
 }  // namespace

@@ -20,6 +20,38 @@ TEST(Checked, CastRoundTrips) {
   EXPECT_THROW(checked_cast<unsigned>(-1), InvariantError);
 }
 
+TEST(Checked, FailurePathsAreRelativeToSrc) {
+  static_assert(source_path("/home/ci/work/src/util/factoradic.cc") ==
+                "src/util/factoradic.cc");
+  static_assert(source_path("/build/perfbench/../src/core/election.h") ==
+                "src/core/election.h");
+  static_assert(source_path("/a/src/b/src/c.cc") == "src/c.cc");
+  static_assert(source_path("src/x.cc") == "src/x.cc");
+  static_assert(source_path("/home/mysrc/tests/t.cc") == "t.cc");
+  static_assert(source_path("t.cc") == "t.cc");
+  // Failures raised in a src/ source file and in a src/ header.
+  const auto message_of = [](const auto& fail) {
+    try {
+      fail();
+    } catch (const InvariantError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no InvariantError");
+  };
+  for (const std::string& message :
+       {message_of([] { (void)permutation_rank({0, 0}); }),
+        message_of([] { (void)Rng(1).next_below(0); })}) {
+    EXPECT_EQ(message.rfind("src/", 0), 0u) << message;
+    EXPECT_EQ(message.find(".."), std::string::npos) << message;
+  }
+  EXPECT_EQ(message_of([] { (void)permutation_rank({0, 0}); })
+                .rfind("src/util/factoradic.cc:", 0),
+            0u);
+  EXPECT_EQ(message_of([] { (void)Rng(1).next_below(0); })
+                .rfind("src/util/rng.h:", 0),
+            0u);
+}
+
 TEST(Checked, Factorial) {
   EXPECT_EQ(factorial_u64(0), 1u);
   EXPECT_EQ(factorial_u64(1), 1u);
