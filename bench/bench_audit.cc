@@ -129,6 +129,7 @@ int main(int argc, char** argv) {
   const bss::bench::BenchFlags flags =
       bss::bench::parse_flags(argc, argv, /*accepts_jobs=*/false);
 
+  bss::bench::BenchReport report(flags, "bench_audit");
   std::vector<Row> rows;
   const auto add = [&](const std::string& label,
                        const ExplorableSystem& system,
@@ -147,7 +148,6 @@ int main(int argc, char** argv) {
     add("fvt[3,2]", bss::explore::FvtSystem(3, 2), options);
   }
 
-  bss::bench::BenchReport report(flags, "bench_audit");
   for (const Row& row : rows) {
     bss::obs::json::Object object;
     object.emplace("system", bss::obs::json::Value(row.system));

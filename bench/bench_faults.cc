@@ -152,6 +152,7 @@ int main(int argc, char** argv) {
       bss::bench::parse_flags(argc, argv, /*accepts_jobs=*/true);
   const bool json = flags.json;
 
+  bss::bench::BenchReport report(flags, "bench_faults");
   std::vector<ExploreRow> sweeps;
   {
     bss::explore::OneShotSystem system(4, 2, bss::core::OneShotMutant::kNone,
@@ -191,7 +192,6 @@ int main(int argc, char** argv) {
   storms.push_back(timed_storm("rfvt[k=4,n=6] crash+restart", 4, 6, 0.2, 0.5,
                                200));
 
-  bss::bench::BenchReport report(flags, "bench_faults");
   for (const auto& row : sweeps) {
     bss::obs::json::Object object;
     object.emplace("kind", bss::obs::json::Value(std::string("sweep")));

@@ -19,6 +19,8 @@
 
 namespace bss::bench {
 
+/// Construct it before the work it reports: the timing channel's wall_ns
+/// runs from construction to finalize().
 class BenchReport {
  public:
   BenchReport(const BenchFlags& flags, std::string producer)

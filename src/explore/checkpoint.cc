@@ -83,8 +83,7 @@ json::Value audit_to_json(const AuditSummary& audit) {
   return json::Value(std::move(object));
 }
 
-json::Value fault_points_to_json(
-    const std::vector<std::pair<int, std::uint64_t>>& points) {
+json::Value fault_points_to_json(const std::set<FaultPoint>& points) {
   json::Array array;
   for (const auto& [action, steps] : points) {
     json::Array pair;
@@ -93,6 +92,16 @@ json::Value fault_points_to_json(
     array.emplace_back(std::move(pair));
   }
   return json::Value(std::move(array));
+}
+
+/// The keys of a Tally, spelled the same in a unit object and in each of
+/// its violation objects.
+void tally_to_json(const Tally& tally, json::Object& object) {
+  object.emplace("stats", stats_to_json(tally.stats));
+  object.emplace("audit", audit_to_json(tally.audit));
+  object.emplace("fault_points", fault_points_to_json(tally.fault_points));
+  object.emplace("budget_limited", json::Value(tally.budget_limited));
+  object.emplace("fault_limited", json::Value(tally.fault_limited));
 }
 
 json::Value options_to_json(const CheckpointOptions& options) {
@@ -144,135 +153,100 @@ json::Value unit_to_json(const CheckpointUnit& unit) {
   object.emplace("frames", json::Value(std::move(frames)));
   object.emplace("floor", json::Value(unit.floor));
   object.emplace("complete", json::Value(unit.complete));
-  object.emplace("stats", stats_to_json(unit.stats));
-  object.emplace("audit", audit_to_json(unit.audit));
-  object.emplace("fault_points", fault_points_to_json(unit.fault_points));
+  const UnitResult& result = unit.result;
+  tally_to_json(result.tally, object);
   json::Array violations;
-  for (const CheckpointViolation& violation : unit.violations) {
+  for (const UnitViolation& violation : result.violations) {
     json::Object violation_object;
     violation_object.emplace("artifact",
                              json::Value(violation.cex.to_artifact()));
-    violation_object.emplace("stats", stats_to_json(violation.stats));
-    violation_object.emplace("audit", audit_to_json(violation.audit));
-    violation_object.emplace("fault_points",
-                             fault_points_to_json(violation.fault_points));
-    violation_object.emplace("budget_limited",
-                             json::Value(violation.budget_limited));
-    violation_object.emplace("fault_limited",
-                             json::Value(violation.fault_limited));
+    tally_to_json(violation.at, violation_object);
     violations.emplace_back(std::move(violation_object));
   }
   object.emplace("violations", json::Value(std::move(violations)));
-  object.emplace("budget_limited", json::Value(unit.budget_limited));
-  object.emplace("fault_limited", json::Value(unit.fault_limited));
-  object.emplace("cap_hit", json::Value(unit.cap_hit));
-  object.emplace("stopped", json::Value(unit.stopped));
-  if (!unit.fp_partials.empty()) {
-    object.emplace("fp_partials", fp_partials_to_json(unit.fp_partials));
+  object.emplace("cap_hit", json::Value(result.cap_hit));
+  object.emplace("stopped", json::Value(result.stopped));
+  if (!result.fp_partials.empty()) {
+    object.emplace("fp_partials", fp_partials_to_json(result.fp_partials));
   }
   return json::Value(std::move(object));
 }
 
 // ------------------------------------------------------------------- parsing
 //
-// Strict shape enforcement mirrors the runreport gate: every listed key is
-// required, unknown keys reject (schema drift must bump the version), and
+// Strict shape enforcement mirrors the runreport gate: every key a parser
+// reads is required unless it checks has() first (how fingerprint-prune
+// fields extend the schema without invalidating pre-existing artifacts),
+// unknown keys reject (schema drift must bump the version), and
 // type/range violations throw InvariantError with the offending location —
 // from_artifact catches and surfaces them as one-line errors.
 
-/// Every `required` key must be present; `optional` keys may be absent
-/// (how fingerprint-prune fields extend the schema without invalidating
-/// pre-existing artifacts); anything else rejects.
-void check_keys(const json::Object& object,
-                std::initializer_list<const char*> required,
-                std::initializer_list<const char*> optional,
-                const char* where) {
-  for (const char* key : required) {
-    expects(object.count(key) != 0,
-            std::string(where) + ": missing required key '" + key + "'");
+/// Reads one JSON object, naming each key once, where it is read; done()
+/// then rejects every key no read asked for.
+class Reader {
+ public:
+  Reader(const json::Object& object, const char* where)
+      : object_(object), where_(where) {}
+
+  const char* where() const { return where_; }
+  bool has(const char* key) const { return object_.count(key) != 0; }
+
+  const json::Value& at(const char* key) {
+    const auto it = object_.find(key);
+    expects(it != object_.end(),
+            std::string(where_) + ": missing required key '" + key + "'");
+    read_.insert(it->first);
+    return it->second;
   }
-  for (const auto& [key, value] : object) {
-    bool known = false;
-    for (const char* candidate : required) {
-      if (key == candidate) {
-        known = true;
-        break;
-      }
-    }
-    for (const char* candidate : optional) {
-      if (known) break;
-      if (key == candidate) known = true;
-    }
-    expects(known, std::string(where) + ": unknown key '" + key + "'");
+  /// A nested object, read under the same `where`.
+  Reader object(const char* key) {
+    const json::Value& value = at(key);
+    expects(value.is_object(), fail(key, "an object"));
+    return Reader(value.as_object(), where_);
   }
-}
+  const json::Array& array(const char* key) {
+    const json::Value& value = at(key);
+    expects(value.is_array(), fail(key, "an array"));
+    return value.as_array();
+  }
+  std::uint64_t u64(const char* key) {
+    const json::Value& value = at(key);
+    expects(value.is_int() && value.as_int() >= 0,
+            fail(key, "a non-negative integer"));
+    return static_cast<std::uint64_t>(value.as_int());
+  }
+  int integer(const char* key) {
+    const json::Value& value = at(key);
+    expects(value.is_int(), fail(key, "an integer"));
+    return checked_cast<int>(value.as_int());
+  }
+  bool boolean(const char* key) {
+    const json::Value& value = at(key);
+    expects(value.is_bool(), fail(key, "a boolean"));
+    return value.as_bool();
+  }
+  const std::string& string(const char* key) {
+    const json::Value& value = at(key);
+    expects(value.is_string(), fail(key, "a string"));
+    return value.as_string();
+  }
 
-void check_keys(const json::Object& object,
-                std::initializer_list<const char*> keys, const char* where) {
-  check_keys(object, keys, {}, where);
-}
+  void done() const {
+    for (const auto& [key, value] : object_) {
+      expects(read_.count(key) != 0,
+              std::string(where_) + ": unknown key '" + key + "'");
+    }
+  }
 
-const json::Object& get_object(const json::Object& object,
-                               const std::string& key, const char* where) {
-  const auto it = object.find(key);
-  expects(it != object.end() && it->second.is_object(),
-          std::string(where) + ": '" + key + "' must be an object");
-  return it->second.as_object();
-}
+ private:
+  std::string fail(const char* key, const char* what) const {
+    return std::string(where_) + ": '" + key + "' must be " + what;
+  }
 
-const json::Array& get_array(const json::Object& object,
-                             const std::string& key, const char* where) {
-  const auto it = object.find(key);
-  expects(it != object.end() && it->second.is_array(),
-          std::string(where) + ": '" + key + "' must be an array");
-  return it->second.as_array();
-}
-
-std::uint64_t get_u64(const json::Object& object, const std::string& key,
-                      const char* where) {
-  const auto it = object.find(key);
-  expects(it != object.end() && it->second.is_int() &&
-              it->second.as_int() >= 0,
-          std::string(where) + ": '" + key +
-              "' must be a non-negative integer");
-  return static_cast<std::uint64_t>(it->second.as_int());
-}
-
-int get_int(const json::Object& object, const std::string& key,
-            const char* where) {
-  const auto it = object.find(key);
-  expects(it != object.end() && it->second.is_int(),
-          std::string(where) + ": '" + key + "' must be an integer");
-  return checked_cast<int>(it->second.as_int());
-}
-
-bool get_bool(const json::Object& object, const std::string& key,
-              const char* where) {
-  const auto it = object.find(key);
-  expects(it != object.end() && it->second.is_bool(),
-          std::string(where) + ": '" + key + "' must be a boolean");
-  return it->second.as_bool();
-}
-
-const std::string& get_string(const json::Object& object,
-                              const std::string& key, const char* where) {
-  const auto it = object.find(key);
-  expects(it != object.end() && it->second.is_string(),
-          std::string(where) + ": '" + key + "' must be a string");
-  return it->second.as_string();
-}
-
-std::uint64_t get_u64_or(const json::Object& object, const std::string& key,
-                         std::uint64_t fallback, const char* where) {
-  if (object.count(key) == 0) return fallback;
-  return get_u64(object, key, where);
-}
-
-bool get_bool_or(const json::Object& object, const std::string& key,
-                 bool fallback, const char* where) {
-  if (object.count(key) == 0) return fallback;
-  return get_bool(object, key, where);
-}
+  const json::Object& object_;
+  const char* where_;
+  std::set<std::string_view> read_;
+};
 
 /// Parses a 32-hex-char cache key back into its (lo, hi) halves; anything
 /// but exactly 32 lowercase hex digits rejects.
@@ -297,12 +271,11 @@ std::pair<std::uint64_t, std::uint64_t> parse_fp_key(const std::string& text,
   return {halves[0], halves[1]};
 }
 
-std::vector<FingerprintPartial> parse_fp_partials(const json::Object& parent,
-                                                  const std::string& key,
-                                                  const char* where) {
+std::vector<FingerprintPartial> parse_fp_partials(Reader& in) {
+  const char* where = in.where();
   std::vector<FingerprintPartial> partials;
-  if (parent.count(key) == 0) return partials;  // pre-prune artifacts
-  for (const json::Value& entry : get_array(parent, key, where)) {
+  if (!in.has("fp_partials")) return partials;  // pre-prune artifacts
+  for (const json::Value& entry : in.array("fp_partials")) {
     expects(entry.is_array() && entry.as_array().size() == 2,
             std::string(where) +
                 ": fp partial must be a [key, dirty] pair");
@@ -341,64 +314,50 @@ int parse_decision(const json::Value& value, int processes,
   return *decision;
 }
 
-ExploreStats parse_stats(const json::Object& parent, const std::string& key,
-                         const char* where) {
-  const json::Object& object = get_object(parent, key, where);
-  check_keys(object,
-             {"schedules", "transitions", "timer_grants", "sleep_set_prunes",
-              "preemption_prunes", "truncated", "max_depth_seen",
-              "shrink_runs", "shrink_budget_hits", "fault_prunes",
-              "faults_injected", "fault_points"},
-             {"fingerprint_prunes"}, where);
+ExploreStats parse_stats(Reader in) {
   ExploreStats stats;
-  stats.schedules = get_u64(object, "schedules", where);
-  stats.transitions = get_u64(object, "transitions", where);
-  stats.timer_grants = get_u64(object, "timer_grants", where);
-  stats.sleep_set_prunes = get_u64(object, "sleep_set_prunes", where);
-  stats.preemption_prunes = get_u64(object, "preemption_prunes", where);
-  stats.truncated = get_u64(object, "truncated", where);
-  stats.max_depth_seen = get_u64(object, "max_depth_seen", where);
-  stats.shrink_runs = get_u64(object, "shrink_runs", where);
-  stats.shrink_budget_hits = get_u64(object, "shrink_budget_hits", where);
-  stats.fault_prunes = get_u64(object, "fault_prunes", where);
-  stats.faults_injected = get_u64(object, "faults_injected", where);
-  stats.fingerprint_prunes =
-      get_u64_or(object, "fingerprint_prunes", 0, where);
-  stats.fault_points = get_u64(object, "fault_points", where);
+  stats.schedules = in.u64("schedules");
+  stats.transitions = in.u64("transitions");
+  stats.timer_grants = in.u64("timer_grants");
+  stats.sleep_set_prunes = in.u64("sleep_set_prunes");
+  stats.preemption_prunes = in.u64("preemption_prunes");
+  stats.truncated = in.u64("truncated");
+  stats.max_depth_seen = in.u64("max_depth_seen");
+  stats.shrink_runs = in.u64("shrink_runs");
+  stats.shrink_budget_hits = in.u64("shrink_budget_hits");
+  stats.fault_prunes = in.u64("fault_prunes");
+  stats.faults_injected = in.u64("faults_injected");
+  if (in.has("fingerprint_prunes")) {
+    stats.fingerprint_prunes = in.u64("fingerprint_prunes");
+  }
+  stats.fault_points = in.u64("fault_points");
+  in.done();
   return stats;
 }
 
-AuditSummary parse_audit(const json::Object& parent, const std::string& key,
-                         const char* where) {
-  const json::Object& object = get_object(parent, key, where);
-  check_keys(object,
-             {"enabled", "windows", "accesses", "ledger_violations",
-              "schedules_cross_checked", "pairs_considered", "swaps_replayed",
-              "commute_mismatches", "findings"},
-             where);
+AuditSummary parse_audit(Reader in) {
   AuditSummary audit;
-  audit.enabled = get_bool(object, "enabled", where);
-  audit.windows = get_u64(object, "windows", where);
-  audit.accesses = get_u64(object, "accesses", where);
-  audit.ledger_violations = get_u64(object, "ledger_violations", where);
-  audit.schedules_cross_checked =
-      get_u64(object, "schedules_cross_checked", where);
-  audit.pairs_considered = get_u64(object, "pairs_considered", where);
-  audit.swaps_replayed = get_u64(object, "swaps_replayed", where);
-  audit.commute_mismatches = get_u64(object, "commute_mismatches", where);
-  for (const json::Value& finding : get_array(object, "findings", where)) {
+  audit.enabled = in.boolean("enabled");
+  audit.windows = in.u64("windows");
+  audit.accesses = in.u64("accesses");
+  audit.ledger_violations = in.u64("ledger_violations");
+  audit.schedules_cross_checked = in.u64("schedules_cross_checked");
+  audit.pairs_considered = in.u64("pairs_considered");
+  audit.swaps_replayed = in.u64("swaps_replayed");
+  audit.commute_mismatches = in.u64("commute_mismatches");
+  for (const json::Value& finding : in.array("findings")) {
     expects(finding.is_string(),
-            std::string(where) + ": audit findings must be strings");
+            std::string(in.where()) + ": audit findings must be strings");
     audit.note(finding.as_string());
   }
+  in.done();
   return audit;
 }
 
-std::vector<std::pair<int, std::uint64_t>> parse_fault_points(
-    const json::Object& parent, const std::string& key, int processes,
-    const char* where) {
-  std::vector<std::pair<int, std::uint64_t>> points;
-  for (const json::Value& entry : get_array(parent, key, where)) {
+std::set<FaultPoint> parse_fault_points(Reader& in, int processes) {
+  const char* where = in.where();
+  std::set<FaultPoint> points;
+  for (const json::Value& entry : in.array("fault_points")) {
     expects(entry.is_array() && entry.as_array().size() == 2,
             std::string(where) +
                 ": fault point must be a [token, steps] pair");
@@ -408,43 +367,44 @@ std::vector<std::pair<int, std::uint64_t>> parse_fault_points(
     const json::Value& steps = entry.as_array()[1];
     expects(steps.is_int() && steps.as_int() >= 0,
             std::string(where) + ": fault point steps must be non-negative");
-    points.emplace_back(action, static_cast<std::uint64_t>(steps.as_int()));
+    points.emplace(action, static_cast<std::uint64_t>(steps.as_int()));
   }
   return points;
 }
 
-CheckpointOptions parse_options(const json::Object& parent,
-                                const char* where) {
-  const json::Object& object = get_object(parent, "options", where);
-  check_keys(object,
-             {"max_depth", "preemption_bound", "iterative", "use_por",
-              "max_schedules", "stop_at_first_violation", "max_violations",
-              "minimize", "shrink_budget", "record_trace", "fault_bound",
-              "explore_crashes", "explore_restarts", "explore_sc_failures",
-              "audit", "audit_commute_sample"},
-             {"fingerprint_prune"}, where);
+/// Reads the keys tally_to_json writes.
+Tally parse_tally(Reader& in, int processes) {
+  Tally tally;
+  tally.stats = parse_stats(in.object("stats"));
+  tally.audit = parse_audit(in.object("audit"));
+  tally.fault_points = parse_fault_points(in, processes);
+  tally.budget_limited = in.boolean("budget_limited");
+  tally.fault_limited = in.boolean("fault_limited");
+  return tally;
+}
+
+CheckpointOptions parse_options(Reader in) {
   CheckpointOptions options;
-  options.max_depth = get_u64(object, "max_depth", where);
-  options.preemption_bound = get_int(object, "preemption_bound", where);
-  options.iterative = get_bool(object, "iterative", where);
-  options.use_por = get_bool(object, "use_por", where);
-  options.max_schedules = get_u64(object, "max_schedules", where);
-  options.stop_at_first_violation =
-      get_bool(object, "stop_at_first_violation", where);
-  options.max_violations = get_u64(object, "max_violations", where);
-  options.minimize = get_bool(object, "minimize", where);
-  options.shrink_budget = get_u64(object, "shrink_budget", where);
-  options.record_trace = get_bool(object, "record_trace", where);
-  options.fault_bound = get_int(object, "fault_bound", where);
-  options.explore_crashes = get_bool(object, "explore_crashes", where);
-  options.explore_restarts = get_bool(object, "explore_restarts", where);
-  options.explore_sc_failures =
-      get_bool(object, "explore_sc_failures", where);
-  options.audit = get_bool(object, "audit", where);
-  options.audit_commute_sample = checked_cast<std::uint32_t>(
-      get_u64(object, "audit_commute_sample", where));
+  options.max_depth = in.u64("max_depth");
+  options.preemption_bound = in.integer("preemption_bound");
+  options.iterative = in.boolean("iterative");
+  options.use_por = in.boolean("use_por");
+  options.max_schedules = in.u64("max_schedules");
+  options.stop_at_first_violation = in.boolean("stop_at_first_violation");
+  options.max_violations = in.u64("max_violations");
+  options.minimize = in.boolean("minimize");
+  options.shrink_budget = in.u64("shrink_budget");
+  options.record_trace = in.boolean("record_trace");
+  options.fault_bound = in.integer("fault_bound");
+  options.explore_crashes = in.boolean("explore_crashes");
+  options.explore_restarts = in.boolean("explore_restarts");
+  options.explore_sc_failures = in.boolean("explore_sc_failures");
+  options.audit = in.boolean("audit");
+  options.audit_commute_sample =
+      checked_cast<std::uint32_t>(in.u64("audit_commute_sample"));
   options.fingerprint_prune =
-      get_bool_or(object, "fingerprint_prune", false, where);
+      in.has("fingerprint_prune") && in.boolean("fingerprint_prune");
+  in.done();
   return options;
 }
 
@@ -471,73 +431,45 @@ Counterexample parse_embedded_counterexample(const json::Value& value,
 
 CheckpointUnit parse_unit(const json::Value& value, const std::string& system,
                           int processes) {
-  const char* where = "frontier unit";
   expects(value.is_object(), "frontier entries must be objects");
-  const json::Object& object = value.as_object();
-  check_keys(object,
-             {"frames", "floor", "complete", "stats", "audit", "fault_points",
-              "violations", "budget_limited", "fault_limited", "cap_hit",
-              "stopped"},
-             {"fp_partials"}, where);
+  Reader in(value.as_object(), "frontier unit");
   CheckpointUnit unit;
-  for (const json::Value& frame_value : get_array(object, "frames", where)) {
+  for (const json::Value& frame_value : in.array("frames")) {
     expects(frame_value.is_object(), "frontier frames must be objects");
-    const json::Object& frame_object = frame_value.as_object();
-    check_keys(frame_object, {"chosen", "done"}, {"fp_dirty"},
-               "frontier frame");
+    Reader frame_in(frame_value.as_object(), "frontier frame");
     CheckpointFrame frame;
-    const auto chosen = frame_object.find("chosen");
-    frame.chosen =
-        parse_decision(chosen->second, processes, "frontier frame chosen");
-    for (const json::Value& done :
-         get_array(frame_object, "done", "frontier frame")) {
+    frame.chosen = parse_decision(frame_in.at("chosen"), processes,
+                                  "frontier frame chosen");
+    for (const json::Value& done : frame_in.array("done")) {
       frame.done.push_back(
           parse_decision(done, processes, "frontier frame done"));
     }
-    frame.fp_dirty =
-        get_bool_or(frame_object, "fp_dirty", false, "frontier frame");
+    frame.fp_dirty = frame_in.has("fp_dirty") && frame_in.boolean("fp_dirty");
+    frame_in.done();
     unit.frames.push_back(std::move(frame));
   }
-  unit.floor = get_u64(object, "floor", where);
-  unit.complete = get_bool(object, "complete", where);
+  unit.floor = in.u64("floor");
+  unit.complete = in.boolean("complete");
   expects(unit.floor <= unit.frames.size(),
           "frontier unit floor exceeds its frame stack");
   expects(!unit.complete || unit.frames.empty(),
           "complete frontier unit still carries frames");
-  unit.stats = parse_stats(object, "stats", where);
-  unit.audit = parse_audit(object, "audit", where);
-  unit.fault_points =
-      parse_fault_points(object, "fault_points", processes, where);
-  for (const json::Value& violation_value :
-       get_array(object, "violations", where)) {
+  UnitResult& result = unit.result;
+  result.tally = parse_tally(in, processes);
+  for (const json::Value& violation_value : in.array("violations")) {
     expects(violation_value.is_object(),
             "frontier unit violations must be objects");
-    const json::Object& violation_object = violation_value.as_object();
-    check_keys(
-        violation_object,
-        {"artifact", "stats", "audit", "fault_points", "budget_limited",
-         "fault_limited"},
-        "frontier violation");
-    CheckpointViolation violation;
-    violation.cex = parse_embedded_counterexample(
-        violation_object.find("artifact")->second, system, processes,
-        "frontier violation");
-    violation.stats = parse_stats(violation_object, "stats", where);
-    violation.audit = parse_audit(violation_object, "audit", where);
-    violation.fault_points = parse_fault_points(violation_object,
-                                                "fault_points", processes,
-                                                where);
-    violation.budget_limited = get_bool(violation_object, "budget_limited",
-                                        where);
-    violation.fault_limited = get_bool(violation_object, "fault_limited",
-                                       where);
-    unit.violations.push_back(std::move(violation));
+    Reader violation_in(violation_value.as_object(), "frontier violation");
+    Counterexample cex = parse_embedded_counterexample(
+        violation_in.at("artifact"), system, processes, "frontier violation");
+    result.violations.push_back(
+        {std::move(cex), parse_tally(violation_in, processes)});
+    violation_in.done();
   }
-  unit.budget_limited = get_bool(object, "budget_limited", where);
-  unit.fault_limited = get_bool(object, "fault_limited", where);
-  unit.cap_hit = get_bool(object, "cap_hit", where);
-  unit.stopped = get_bool(object, "stopped", where);
-  unit.fp_partials = parse_fp_partials(object, "fp_partials", where);
+  result.cap_hit = in.boolean("cap_hit");
+  result.stopped = in.boolean("stopped");
+  result.fp_partials = parse_fp_partials(in);
+  in.done();
   return unit;
 }
 
@@ -574,17 +506,17 @@ std::string Checkpoint::to_artifact() const {
   root.emplace("options", options_to_json(options));
   root.emplace("complete", json::Value(complete));
   root.emplace("exhausted", json::Value(exhausted));
-  json::Object progress;
-  progress.emplace("pass_ordinal", json::Value(pass_ordinal));
-  progress.emplace("fault_index", json::Value(fault_index));
-  progress.emplace("preemption_index", json::Value(preemption_index));
-  progress.emplace("cap_hit", json::Value(cap_hit));
-  progress.emplace("stopped", json::Value(stopped));
-  progress.emplace("last_pass_budget_limited",
-                   json::Value(last_pass_budget_limited));
-  progress.emplace("pass_budget_limited", json::Value(pass_budget_limited));
-  progress.emplace("pass_fault_limited", json::Value(pass_fault_limited));
-  root.emplace("progress", json::Value(std::move(progress)));
+  json::Object at;
+  at.emplace("pass_ordinal", json::Value(progress.pass_ordinal));
+  at.emplace("fault_index", json::Value(progress.fault_index));
+  at.emplace("preemption_index", json::Value(progress.preemption_index));
+  at.emplace("cap_hit", json::Value(progress.cap_hit));
+  at.emplace("stopped", json::Value(progress.stopped));
+  at.emplace("last_pass_budget_limited",
+             json::Value(progress.last_pass_budget_limited));
+  at.emplace("pass_budget_limited", json::Value(progress.pass_budget_limited));
+  at.emplace("pass_fault_limited", json::Value(progress.pass_fault_limited));
+  root.emplace("progress", json::Value(std::move(at)));
   root.emplace("stats", stats_to_json(stats));
   root.emplace("audit", audit_to_json(audit));
   json::Array violation_artifacts;
@@ -623,71 +555,54 @@ std::optional<Checkpoint> Checkpoint::from_artifact(const std::string& text,
   if (!root.has_value()) return fail("parse error: " + parse_error);
   if (!root->is_object()) return fail("checkpoint must be a JSON object");
   try {
-    const json::Object& object = root->as_object();
-    const auto schema = object.find("schema");
-    expects(schema != object.end() && schema->second.is_string(),
+    Reader in(root->as_object(), "checkpoint");
+    expects(in.has("schema") && in.at("schema").is_string(),
             "missing schema key");
-    expects(schema->second.as_string() == kCheckpointSchema,
-            "unknown schema version '" + schema->second.as_string() + "'");
-    check_keys(object,
-               {"schema", "seq", "system", "processes", "options", "complete",
-                "exhausted", "progress", "stats", "audit", "violations",
-                "fault_points", "frontier"},
-               {"fp_cache", "fp_partials"}, "checkpoint");
+    expects(in.at("schema").as_string() == kCheckpointSchema,
+            "unknown schema version '" + in.at("schema").as_string() + "'");
     Checkpoint checkpoint;
-    checkpoint.seq = get_u64(object, "seq", "checkpoint");
-    checkpoint.system = get_string(object, "system", "checkpoint");
-    checkpoint.processes = get_int(object, "processes", "checkpoint");
+    checkpoint.seq = in.u64("seq");
+    checkpoint.system = in.string("system");
+    checkpoint.processes = in.integer("processes");
     expects(checkpoint.processes >= 1 && checkpoint.processes <= 64,
             "checkpoint process count outside [1, 64]");
-    checkpoint.options = parse_options(object, "checkpoint options");
-    checkpoint.complete = get_bool(object, "complete", "checkpoint");
-    checkpoint.exhausted = get_bool(object, "exhausted", "checkpoint");
-    const json::Object& progress =
-        get_object(object, "progress", "checkpoint");
-    check_keys(progress,
-               {"pass_ordinal", "fault_index", "preemption_index", "cap_hit",
-                "stopped", "last_pass_budget_limited", "pass_budget_limited",
-                "pass_fault_limited"},
-               "checkpoint progress");
-    checkpoint.pass_ordinal = get_u64(progress, "pass_ordinal", "progress");
-    checkpoint.fault_index = get_u64(progress, "fault_index", "progress");
-    checkpoint.preemption_index =
-        get_u64(progress, "preemption_index", "progress");
-    checkpoint.cap_hit = get_bool(progress, "cap_hit", "progress");
-    checkpoint.stopped = get_bool(progress, "stopped", "progress");
-    checkpoint.last_pass_budget_limited =
-        get_bool(progress, "last_pass_budget_limited", "progress");
-    checkpoint.pass_budget_limited =
-        get_bool(progress, "pass_budget_limited", "progress");
-    checkpoint.pass_fault_limited =
-        get_bool(progress, "pass_fault_limited", "progress");
-    checkpoint.stats = parse_stats(object, "stats", "checkpoint");
-    checkpoint.audit = parse_audit(object, "audit", "checkpoint");
-    for (const json::Value& value :
-         get_array(object, "violations", "checkpoint")) {
+    checkpoint.options = parse_options(in.object("options"));
+    checkpoint.complete = in.boolean("complete");
+    checkpoint.exhausted = in.boolean("exhausted");
+    Reader at = in.object("progress");
+    CheckpointProgress& progress = checkpoint.progress;
+    progress.pass_ordinal = at.u64("pass_ordinal");
+    progress.fault_index = at.u64("fault_index");
+    progress.preemption_index = at.u64("preemption_index");
+    progress.cap_hit = at.boolean("cap_hit");
+    progress.stopped = at.boolean("stopped");
+    progress.last_pass_budget_limited =
+        at.boolean("last_pass_budget_limited");
+    progress.pass_budget_limited = at.boolean("pass_budget_limited");
+    progress.pass_fault_limited = at.boolean("pass_fault_limited");
+    at.done();
+    checkpoint.stats = parse_stats(in.object("stats"));
+    checkpoint.audit = parse_audit(in.object("audit"));
+    for (const json::Value& value : in.array("violations")) {
       checkpoint.violations.push_back(parse_embedded_counterexample(
           value, checkpoint.system, checkpoint.processes,
           "checkpoint violation"));
     }
-    checkpoint.fault_points = parse_fault_points(
-        object, "fault_points", checkpoint.processes, "checkpoint");
-    for (const json::Value& value :
-         get_array(object, "frontier", "checkpoint")) {
+    checkpoint.fault_points = parse_fault_points(in, checkpoint.processes);
+    for (const json::Value& value : in.array("frontier")) {
       checkpoint.frontier.push_back(
           parse_unit(value, checkpoint.system, checkpoint.processes));
     }
-    if (object.count("fp_cache") != 0) {
-      for (const json::Value& value :
-           get_array(object, "fp_cache", "checkpoint")) {
+    if (in.has("fp_cache")) {
+      for (const json::Value& value : in.array("fp_cache")) {
         expects(value.is_string(),
                 "checkpoint: fp_cache entries must be strings");
         checkpoint.fp_cache.push_back(
             parse_fp_key(value.as_string(), "checkpoint fp_cache"));
       }
     }
-    checkpoint.fp_partials =
-        parse_fp_partials(object, "fp_partials", "checkpoint");
+    checkpoint.fp_partials = parse_fp_partials(in);
+    in.done();
     expects(!checkpoint.complete || checkpoint.frontier.empty(),
             "complete checkpoint still carries a frontier");
     return checkpoint;

@@ -6,12 +6,15 @@
 // pass position) with a *log* of outstanding work (the frontier: every unit
 // not yet folded into the prefix, serialized as its replayable frame stack —
 // the `chosen` decision plus explored-sibling `done` set per frame, in
-// `bss-counterexample v2` token syntax).  Runnable sets, pending operations
-// and sleep sets are deliberately NOT stored: the system factory is
-// deterministic, so resume re-materializes each frame by replaying its
-// decisions on a fresh SimEnv and recomputing the derived state — which
-// doubles as an integrity check (an artifact that does not replay is
-// rejected).
+// `bss-counterexample v2` token syntax — next to its UnitResult).  A unit's
+// results are one type from the worker that accumulates them, through the
+// DFS-order merge, into the artifact: a unit and each of its violations
+// store the same Tally under the same keys, so nothing is converted on the
+// way.  Runnable sets, pending operations and sleep sets are deliberately
+// NOT stored: the system factory is deterministic, so resume
+// re-materializes each frame by replaying its decisions on a fresh SimEnv
+// and recomputing the derived state — which doubles as an integrity check
+// (an artifact that does not replay is rejected).
 //
 // Consistency model: workers publish unit snapshots at claim, split and
 // checkpoint boundaries, so a checkpoint captures a frontier the serial
@@ -29,6 +32,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -98,47 +102,57 @@ struct CheckpointFrame {
   bool fp_dirty = false;
 };
 
-/// A violation recorded inside a not-yet-folded unit, with the snapshot of
-/// the unit's cumulative state at the moment it was recorded — the merge
-/// cuts a unit exactly at a violation, so the cut state must survive the
-/// round-trip too.
-struct CheckpointViolation {
-  Counterexample cex;
+/// Fault-site coordinate: (encoded action, victim's lifetime op count).
+using FaultPoint = std::pair<int, std::uint64_t>;
+
+/// What a unit of the stealing frontier has accumulated so far: its
+/// counters, audit results, distinct fault sites, and whether a preemption
+/// or fault budget cut any of its branches.
+struct Tally {
   ExploreStats stats;
   AuditSummary audit;
-  std::vector<std::pair<int, std::uint64_t>> fault_points;
-  bool budget_limited = false;
-  bool fault_limited = false;
+  std::set<FaultPoint> fault_points;
+  bool budget_limited = false;  ///< a branch was cut by the preemption budget
+  bool fault_limited = false;   ///< a branch was cut by the fault budget
+};
+
+/// A violation a unit recorded, with the unit's tally right after it.  The
+/// deterministic merge cuts a unit exactly at the violation where the
+/// serial explorer would have stopped, folding `at` instead of the unit's
+/// final tally and discarding everything explored speculatively past it.
+struct UnitViolation {
+  Counterexample cex;
+  Tally at;
+};
+
+/// The results of one unit of the stealing frontier — a contiguous segment
+/// of a pass's DFS.  The engine accumulates it, the DFS-order merge folds
+/// it, and the checkpoint stores it verbatim.
+struct UnitResult {
+  Tally tally;
+  std::vector<UnitViolation> violations;
+  /// Visited-state coverage partials (fingerprint_prune only), emitted when
+  /// a keyed frame pops and for the still-open below-floor frames when the
+  /// unit drains.  Folded per key across all units between passes; dropped
+  /// wholesale on stop/cap (the campaign is over — the cache is dead).
+  std::vector<FingerprintPartial> fp_partials;
+  bool cap_hit = false;  ///< max_schedules fired before some run
+  bool stopped = false;  ///< the worker hit its violation quota
 };
 
 /// One outstanding unit: its replayable frame stack (empty when `complete`),
-/// backtrack floor, and the partial results accumulated so far.
+/// backtrack floor, and the results accumulated so far.
 struct CheckpointUnit {
   std::vector<CheckpointFrame> frames;
   std::uint64_t floor = 0;
   bool complete = false;  ///< fully explored, waiting on the merge
-  ExploreStats stats;
-  AuditSummary audit;
-  std::vector<std::pair<int, std::uint64_t>> fault_points;
-  std::vector<CheckpointViolation> violations;
-  bool budget_limited = false;
-  bool fault_limited = false;
-  bool cap_hit = false;
-  bool stopped = false;
-  /// Coverage partials the unit emitted before the snapshot
-  /// (fingerprint_prune campaigns only).
-  std::vector<FingerprintPartial> fp_partials;
+  UnitResult result;
 };
 
-struct Checkpoint {
-  std::uint64_t seq = 0;  ///< monotone across a campaign, resumes included
-  std::string system;     ///< ExplorableSystem::name() of the target
-  int processes = 0;
-  CheckpointOptions options;
-  bool complete = false;   ///< exploration finished; `frontier` is empty
-  bool exhausted = false;  ///< final coverage flag (meaningful iff complete)
-  // Pass position: indices into the iterative budget sweeps plus the flags
-  // explore()'s pass loop carries across passes.
+/// Where a campaign stands: the in-progress pass's ordinal and indices into
+/// the iterative budget sweeps, plus the flags explore()'s pass loop
+/// carries across passes.
+struct CheckpointProgress {
   std::uint64_t pass_ordinal = 0;
   std::uint64_t fault_index = 0;
   std::uint64_t preemption_index = 0;
@@ -149,11 +163,21 @@ struct Checkpoint {
   /// the resumed pass's merge result.
   bool pass_budget_limited = false;
   bool pass_fault_limited = false;
+};
+
+struct Checkpoint {
+  std::uint64_t seq = 0;  ///< monotone across a campaign, resumes included
+  std::string system;     ///< ExplorableSystem::name() of the target
+  int processes = 0;
+  CheckpointOptions options;
+  bool complete = false;   ///< exploration finished; `frontier` is empty
+  bool exhausted = false;  ///< final coverage flag (meaningful iff complete)
+  CheckpointProgress progress;
   // The merged DFS-prefix result.
   ExploreStats stats;
   AuditSummary audit;
   std::vector<Counterexample> violations;
-  std::vector<std::pair<int, std::uint64_t>> fault_points;
+  std::set<FaultPoint> fault_points;
   std::vector<CheckpointUnit> frontier;  ///< DFS order
   // Visited-state cache state (fingerprint_prune campaigns only, so
   // prune-off artifacts keep their historical shape): the cache frozen at

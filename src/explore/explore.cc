@@ -8,7 +8,6 @@
 #include <cstdlib>
 #include <exception>
 #include <fstream>
-#include <limits>
 #include <list>
 #include <map>
 #include <memory>
@@ -22,161 +21,21 @@
 #include "audit/commute_check.h"
 #include "audit/ledger.h"
 #include "explore/checkpoint.h"
+#include "explore/frontier.h"
 #include "obs/obs.h"
 #include "obs/status.h"
 #include "runtime/sim_env.h"
 #include "util/checked.h"
+#include "util/env_registry.h"
 
 namespace bss::explore {
 
 using sim::Action;
 using sim::ActionKind;
 using sim::decode_action;
-using sim::encode_action;
-using sim::is_fault_action;
-using sim::kMaxActionPid;
 using sim::takes_step;
 
-bool ops_commute(const sim::OpDesc& a, const sim::OpDesc& b) {
-  if (a.object != b.object) return true;
-  // Anything that is not a plain read (write, cas, ll, sc, …) may change the
-  // object or its hidden state (LL links), so it conflicts with every other
-  // access to the same object.
-  return a.op == "read" && b.op == "read";
-}
-
 namespace {
-
-/// Sentinel for "no choice"; distinct from every encoded action (grants are
-/// >= 0, faults are small negatives).
-constexpr int kNoChoice = std::numeric_limits<int>::min();
-
-constexpr std::uint64_t pid_bit(int pid) {
-  return std::uint64_t{1} << static_cast<unsigned>(pid);
-}
-
-// ------------------------------------------------- visited-state cache keys
-//
-// The fingerprint-prune cache (ExploreOptions::fingerprint_prune) keys every
-// DFS node on a 128-bit hash of the instance fingerprint plus the
-// scheduler-visible SimEnv state.  The preemption/fault counters spent on
-// the way to a node are deliberately EXCLUDED: a node cleanly covered at one
-// budget is covered at every budget (clean == no budget ever cut below), so
-// cross-budget cache hits are exactly the point of the iterative sweep.
-
-/// 128-bit state key: two FNV-1a-64 streams over the same bytes, the second
-/// perturbed (different offset basis, bytes xor'd) so the pair behaves like
-/// independent hashes.  Collision soundness is validated empirically by the
-/// mutant sweep (a colliding prune on a mutant would lose its refutation).
-struct FpHash {
-  std::uint64_t h1 = 14695981039346656037ULL;
-  std::uint64_t h2 = 0x6c62272e07bb0142ULL;
-  void byte(unsigned char b) {
-    h1 = (h1 ^ b) * 1099511628211ULL;
-    h2 = (h2 ^ static_cast<unsigned char>(b ^ 0xa5U)) * 1099511628211ULL;
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      byte(static_cast<unsigned char>(v & 0xffU));
-      v >>= 8U;
-    }
-  }
-  void str(const std::string& s) {
-    u64(s.size());
-    for (const char c : s) byte(static_cast<unsigned char>(c));
-  }
-};
-
-using FpKey = std::pair<std::uint64_t, std::uint64_t>;
-/// Frozen for the duration of a pass; read concurrently without locks.
-using FpCache = std::set<FpKey>;
-
-/// One node of the DFS tree: the scheduling state after `index` decisions
-/// (grants and faults alike).
-struct Frame {
-  std::vector<int> runnable;           ///< ascending pids runnable here
-  std::vector<sim::OpDesc> pending;    ///< by pid; valid for runnable pids
-  std::uint64_t restartable = 0;       ///< runnable pids with a restart hook
-  std::uint64_t sc_ready = 0;          ///< runnable pids parked on an SC
-  std::uint64_t sc_failed_before = 0;  ///< pids already failed spuriously
-  std::vector<int> entry_sleep;        ///< sleeping pids on entry (sorted)
-  std::vector<int> done;               ///< sibling choices already explored
-  int chosen = kNoChoice;              ///< choice taken on the current path
-  int prev_grant = -1;                 ///< pid granted most recently before
-  int preemptions_before = 0;          ///< preemptions in decisions 0..index-1
-  int faults_before = 0;               ///< faults injected in 0..index-1
-  // Visited-state cache accumulator (fingerprint_prune only).  `fp_dirty`
-  // records whether anything incomplete happened in this node's subtree
-  // while the frame was open — a budget or fault cut, a truncation, a
-  // violation.  Every disqualifying event marks EVERY open frame, so by the
-  // DFS invariant (all execution happens inside every open frame's subtree)
-  // a frame's dirty bit is always a statement about its own subtree; unions
-  // of the bit across frame copies (steal splits) therefore aggregate
-  // commutatively to exactly the serial walk's answer.
-  std::uint64_t fp_lo = 0;
-  std::uint64_t fp_hi = 0;
-  bool fp_valid = false;  ///< key computed (fingerprint non-empty)
-  bool fp_dirty = false;  ///< subtree coverage incomplete so far
-};
-
-bool contains(const std::vector<int>& values, int value) {
-  return std::find(values.begin(), values.end(), value) != values.end();
-}
-
-struct PassState {
-  std::vector<Frame> frames;
-  int budget = -1;        ///< preemption budget; -1 = unbounded
-  int fault_budget = 0;   ///< fault budget; 0 = no fault exploration
-  bool use_por = true;
-  bool explore_crashes = false;
-  bool explore_restarts = false;
-  bool explore_sc = false;
-  /// Visited-state pruning: read `fp_cache` (frozen at pass start, never
-  /// written during a pass — lock-free shared reads) at every fresh frame.
-  bool fp_prune = false;
-  const FpCache* fp_cache = nullptr;
-  /// Subtree floor: advance() never backtracks below this many frames.  0
-  /// for a pass's root unit; a steal split raises it past the cut, so the
-  /// sibling choices above the cut belong to exactly one other unit.
-  std::size_t floor = 0;
-};
-
-/// Fault-site coordinate: (encoded action, victim's lifetime op count).
-using FaultPoint = std::pair<int, std::uint64_t>;
-
-/// Snapshot of a unit's cumulative results taken right after a violation is
-/// recorded.  When the deterministic merge decides the serial explorer would
-/// have stopped at that violation, it folds the checkpoint instead of the
-/// full unit, discarding everything the worker explored speculatively past
-/// the stop point.
-struct UnitCheckpoint {
-  ExploreStats stats;
-  AuditSummary audit;
-  std::set<FaultPoint> fault_points;
-  bool budget_limited = false;
-  bool fault_limited = false;
-};
-
-/// Results of one unit of the stealing frontier: a contiguous segment of
-/// the pass's DFS.  Units are merged in DFS order, which makes the parallel
-/// explorer byte-identical to the serial one.
-struct UnitResult {
-  ExploreStats stats;
-  AuditSummary audit;
-  std::set<FaultPoint> fault_points;
-  std::vector<Counterexample> violations;
-  std::vector<UnitCheckpoint> checkpoints;  ///< parallel to `violations`
-  /// Visited-state coverage partials (fingerprint_prune only), emitted when
-  /// a keyed frame pops and for the still-open below-floor frames when the
-  /// unit drains.  Folded per key across all units between passes; dropped
-  /// wholesale on stop/cap (the campaign is over — the cache is dead).
-  std::vector<FingerprintPartial> fp_partials;
-  bool budget_limited = false;  ///< a branch was cut by the preemption budget
-  bool fault_limited = false;   ///< a branch was cut by the fault budget
-  bool cap_hit = false;         ///< max_schedules fired before some run
-  bool stopped = false;         ///< the worker hit its violation quota
-  bool skipped = false;         ///< past a confirmed stop; results dropped
-};
 
 /// The metric cells run_one bumps on every run.  A lookup by name builds
 /// its key string, so each cell is looked up in the shard at its first use
@@ -237,341 +96,6 @@ struct SharedBudget {
   }
 };
 
-/// Granting away from the most recently granted (still-runnable) process
-/// costs one preemption.  Fault actions are not grants: a crash/restart of
-/// another process does not preempt the running one.
-int choice_cost(const Frame& frame, int grant_pid) {
-  if (frame.prev_grant < 0 || grant_pid == frame.prev_grant) return 0;
-  return contains(frame.runnable, frame.prev_grant) ? 1 : 0;
-}
-
-bool grant_feasible(const Frame& frame, int pid, const PassState& pass) {
-  if (contains(frame.done, pid)) return false;
-  if (pass.use_por && contains(frame.entry_sleep, pid)) return false;
-  if (pass.budget >= 0 &&
-      frame.preemptions_before + choice_cost(frame, pid) > pass.budget) {
-    return false;
-  }
-  return true;
-}
-
-/// First unexplored, feasible choice at `frame`: grants first (continuing
-/// prev_grant is free, then ascending pid order), then — fault budget
-/// permitting — spurious-SC, crash and restart injections in pid order.
-/// Sleep sets apply to plain grants only: a spurious-failing SC has a
-/// different effect than the explored grant, so it never sleeps.
-int select_choice(const Frame& frame, const PassState& pass) {
-  if (contains(frame.runnable, frame.prev_grant) &&
-      grant_feasible(frame, frame.prev_grant, pass)) {
-    return frame.prev_grant;
-  }
-  for (const int pid : frame.runnable) {
-    if (pid == frame.prev_grant) continue;
-    if (grant_feasible(frame, pid, pass)) return pid;
-  }
-  if (pass.fault_budget > 0 && frame.faults_before < pass.fault_budget) {
-    if (pass.explore_sc) {
-      for (const int pid : frame.runnable) {
-        if ((frame.sc_ready & pid_bit(pid)) == 0) continue;
-        if ((frame.sc_failed_before & pid_bit(pid)) != 0) continue;
-        const int choice = encode_action(ActionKind::kScFailure, pid);
-        if (contains(frame.done, choice)) continue;
-        // A spurious SC still performs the (failing) operation, so the
-        // preemption cost of granting `pid` applies.
-        if (pass.budget >= 0 &&
-            frame.preemptions_before + choice_cost(frame, pid) > pass.budget) {
-          continue;
-        }
-        return choice;
-      }
-    }
-    if (pass.explore_crashes) {
-      for (const int pid : frame.runnable) {
-        const int choice = encode_action(ActionKind::kCrash, pid);
-        if (!contains(frame.done, choice)) return choice;
-      }
-    }
-    if (pass.explore_restarts) {
-      for (const int pid : frame.runnable) {
-        if ((frame.restartable & pid_bit(pid)) == 0) continue;
-        const int choice = encode_action(ActionKind::kRestart, pid);
-        if (!contains(frame.done, choice)) return choice;
-      }
-    }
-  }
-  return kNoChoice;
-}
-
-/// Per-worker allocation arena for the DFS inner loop: frames popped by
-/// advance() park here and make_frame reuses them, so the per-step vector
-/// and string capacities (runnable/pending/entry_sleep/done, the OpDesc
-/// object/op strings inside `pending`) circulate instead of being
-/// reallocated on every node.  Every run of the worker reset()s the same
-/// SimEnv and fills the same RunReport, so a warm worker's runs allocate
-/// only what the system's make() and check() do.  Strictly an allocation
-/// cache — nothing in here influences an exploration decision.
-struct Scratch {
-  std::vector<Frame> spare;             ///< recycled frames, fields cleared
-  std::vector<int> runnable;            ///< per-step parked-set buffer
-  std::vector<int> actions;             ///< per-run decision-tape buffer
-  std::vector<FaultPoint> fault_points; ///< per-run fault-site buffer
-  sim::SimEnv env;                      ///< every run's env, reset per run
-  sim::RunReport report;                ///< every checked run's report
-};
-
-/// Pulls a recycled frame from the arena (or default-constructs one): all
-/// fields reset, vector/string capacities preserved.
-Frame take_frame(Scratch& scratch) {
-  if (scratch.spare.empty()) return Frame{};
-  Frame frame = std::move(scratch.spare.back());
-  scratch.spare.pop_back();
-  frame.runnable.clear();
-  frame.restartable = 0;
-  frame.sc_ready = 0;
-  frame.sc_failed_before = 0;
-  frame.entry_sleep.clear();
-  frame.done.clear();
-  frame.chosen = kNoChoice;
-  frame.prev_grant = -1;
-  frame.preemptions_before = 0;
-  frame.faults_before = 0;
-  frame.fp_lo = 0;
-  frame.fp_hi = 0;
-  frame.fp_valid = false;
-  frame.fp_dirty = false;
-  return frame;
-}
-
-/// Materializes the frontier node reached after `parent` took its chosen
-/// action (parent == nullptr at the root).  Consumes `scratch.runnable` (by
-/// swap, so its capacity returns to the buffer pool with the frame).
-Frame make_frame(const sim::SimEnv& env, Scratch& scratch,
-                 const PassState& pass, const Frame* parent) {
-  Frame frame = take_frame(scratch);
-  frame.runnable.swap(scratch.runnable);
-  frame.pending.resize(static_cast<std::size_t>(env.process_count()));
-  for (const int pid : frame.runnable) {
-    frame.pending[static_cast<std::size_t>(pid)] = env.pending_of(pid);
-    if (env.restart_supported(pid)) frame.restartable |= pid_bit(pid);
-    if (frame.pending[static_cast<std::size_t>(pid)].op == "sc") {
-      frame.sc_ready |= pid_bit(pid);
-    }
-  }
-  if (parent == nullptr) return frame;
-
-  const Action parent_action = decode_action(parent->chosen);
-  frame.sc_failed_before = parent->sc_failed_before;
-  if (parent_action.kind == ActionKind::kScFailure) {
-    frame.sc_failed_before |= pid_bit(parent_action.pid);
-  }
-  frame.faults_before = parent->faults_before +
-                        (parent_action.kind == ActionKind::kGrant ? 0 : 1);
-  if (takes_step(parent_action)) {
-    frame.prev_grant = parent_action.pid;
-    frame.preemptions_before =
-        parent->preemptions_before + choice_cost(*parent, parent_action.pid);
-    if (pass.use_por) {
-      // Sleep-set propagation: everything asleep at the parent (inherited
-      // or explored there) stays asleep iff it commutes with the operation
-      // the parent's choice just performed.  Only plain grants in the
-      // parent's done set count — fault siblings are not operations.
-      const auto& parent_op =
-          parent->pending[static_cast<std::size_t>(parent_action.pid)];
-      const auto inherit = [&](int pid) {
-        if (pid == parent_action.pid) return;
-        if (ops_commute(parent->pending[static_cast<std::size_t>(pid)],
-                        parent_op)) {
-          frame.entry_sleep.push_back(pid);
-        }
-      };
-      for (const int pid : parent->entry_sleep) inherit(pid);
-      for (const int choice : parent->done) {
-        const Action done_action = decode_action(choice);
-        if (done_action.kind == ActionKind::kGrant) inherit(done_action.pid);
-      }
-      std::sort(frame.entry_sleep.begin(), frame.entry_sleep.end());
-    }
-  } else {
-    // Crash/restart: not a shared-memory operation, so the commutation
-    // bookkeeping does not extend across it — start this node with an empty
-    // sleep set (sound: strictly less pruning).  Continuing the previously
-    // granted process after an unrelated fault is still free.
-    frame.prev_grant = parent->prev_grant;
-    frame.preemptions_before = parent->preemptions_before;
-  }
-  return frame;
-}
-
-/// Accounts the branches the filters cut at a freshly materialized node
-/// (all filters are functions of the frame alone, so counting once at
-/// creation is exact).  Returns true iff a *budget* filter (preemption or
-/// fault) cut anything — the fingerprint cache treats that as incomplete
-/// coverage of the node's subtree.  Sleep-set prunes do NOT count: POR
-/// pruning is soundness-preserving, so a sleep-pruned subtree is still
-/// fully covered by proxy.
-bool account_frame(const Frame& frame, const PassState& pass,
-                   UnitResult& unit) {
-  bool cut_any = false;
-  for (const int pid : frame.runnable) {
-    if (pass.use_por && contains(frame.entry_sleep, pid)) {
-      ++unit.stats.sleep_set_prunes;
-      continue;
-    }
-    if (pass.budget >= 0 &&
-        frame.preemptions_before + choice_cost(frame, pid) > pass.budget) {
-      ++unit.stats.preemption_prunes;
-      unit.budget_limited = true;
-      cut_any = true;
-    }
-  }
-  // Note: this must also count at fault_budget == 0 (where every fault
-  // choice is cut) — the iterative sweep keys "deepen the fault budget?"
-  // off fault_limited.
-  const bool faults_enabled =
-      pass.explore_crashes || pass.explore_restarts || pass.explore_sc;
-  if (faults_enabled && frame.faults_before >= pass.fault_budget) {
-    std::uint64_t cut = 0;
-    if (pass.explore_crashes) cut += frame.runnable.size();
-    for (const int pid : frame.runnable) {
-      if (pass.explore_restarts && (frame.restartable & pid_bit(pid)) != 0) {
-        ++cut;
-      }
-      if (pass.explore_sc && (frame.sc_ready & pid_bit(pid)) != 0 &&
-          (frame.sc_failed_before & pid_bit(pid)) == 0) {
-        ++cut;
-      }
-    }
-    if (cut > 0) {
-      unit.stats.fault_prunes += cut;
-      unit.fault_limited = true;
-      cut_any = true;
-    }
-  }
-  return cut_any;
-}
-
-/// Marks every open frame's coverage accumulator dirty.  Called whenever
-/// the current run hits something that leaves subtree coverage incomplete —
-/// a budget/fault cut, a depth truncation, or a violation — because under
-/// DFS all execution happens inside every open frame's subtree, so the
-/// event taints all of them.  Frames pushed later (after the event) start
-/// clean again: the event is not in *their* subtree.
-void mark_path_dirty(PassState& pass) {
-  for (Frame& frame : pass.frames) frame.fp_dirty = true;
-}
-
-/// Computes the visited-state cache key for a freshly materialized frame:
-/// a 128-bit hash over the system's semantic fingerprint plus every piece
-/// of scheduler-visible env state that influences future exploration from
-/// this node (virtual clock, per-pid step counts, parked/pending ops,
-/// restartability, SC arming).  Budget positions (preemptions_before,
-/// faults_before, prev_grant) are deliberately EXCLUDED — a state first
-/// reached under a tight budget and revisited with slack is the same
-/// state, and cross-budget hits are where the cache pays.  The sleep set
-/// IS included: two visits with different sleep sets cover different
-/// subtrees, so conflating them would under-explore.
-///
-/// Returns false (frame.fp_valid stays false) when the system opts out via
-/// the empty default fingerprint — without semantic state the env-only key
-/// would alias distinct states.
-bool compute_fp_key(SystemInstance& instance, const sim::SimEnv& env,
-                    Frame& frame) {
-  const std::string fp = instance.fingerprint(env);
-  if (fp.empty()) return false;
-  FpHash hash;
-  hash.str(fp);
-  hash.u64(static_cast<std::uint64_t>(env.virtual_now()));
-  const int n = env.process_count();
-  hash.u64(static_cast<std::uint64_t>(n));
-  for (int pid = 0; pid < n; ++pid) {
-    const bool parked = env.is_parked(pid);
-    hash.byte(parked ? 1 : 0);
-    hash.u64(env.steps_of(pid));
-    if (parked) {
-      const sim::OpDesc& op = frame.pending[static_cast<std::size_t>(pid)];
-      hash.str(op.object);
-      hash.str(op.op);
-      hash.u64(static_cast<std::uint64_t>(op.arg0));
-      hash.u64(static_cast<std::uint64_t>(op.arg1));
-    }
-  }
-  hash.u64(frame.restartable);
-  hash.u64(frame.sc_ready);
-  hash.u64(frame.sc_failed_before);
-  hash.u64(static_cast<std::uint64_t>(frame.entry_sleep.size()));
-  for (const int pid : frame.entry_sleep) {
-    hash.u64(static_cast<std::uint64_t>(pid));
-  }
-  frame.fp_lo = hash.h1;
-  frame.fp_hi = hash.h2;
-  frame.fp_valid = true;
-  return true;
-}
-
-/// Backtracks to the deepest node above the subtree floor with an
-/// unexplored sibling; returns false when the whole space (at this budget
-/// pair, within this subtree) is done.  A frame popped here has finished
-/// its whole subtree segment within this unit, so its coverage partial
-/// {key, dirty} is emitted before the frame recycles into the arena.
-bool advance(PassState& pass, UnitResult& unit, Scratch& scratch) {
-  auto& frames = pass.frames;
-  while (frames.size() > pass.floor) {
-    Frame& frame = frames.back();
-    frame.done.push_back(frame.chosen);
-    frame.chosen = kNoChoice;
-    const int next = select_choice(frame, pass);
-    if (next != kNoChoice) {
-      frame.chosen = next;
-      return true;
-    }
-    if (frame.fp_valid) {
-      unit.fp_partials.push_back({frame.fp_lo, frame.fp_hi, frame.fp_dirty});
-    }
-    scratch.spare.push_back(std::move(frames.back()));
-    frames.pop_back();
-  }
-  return false;
-}
-
-/// Emits coverage partials for the frames still open when a unit drains
-/// normally (the below-floor prefix frames advance() never pops).  Their
-/// dirty bits carry whatever this unit's segment of the subtree saw; the
-/// per-key OR across all of a pass's units reassembles total subtree dirt
-/// no matter how steal splits divided the work.
-void emit_open_frames(const PassState& pass, UnitResult& unit) {
-  for (const Frame& frame : pass.frames) {
-    if (frame.fp_valid) {
-      unit.fp_partials.push_back({frame.fp_lo, frame.fp_hi, frame.fp_dirty});
-    }
-  }
-}
-
-/// audit == false resolves through BSS_AUDIT (force-on only: the variable
-/// can switch the audit layer on under an existing binary — how CI audits
-/// the whole suite — but never disable an explicit request).
-bool resolve_audit(const ExploreOptions& options) {
-  if (options.audit) return true;
-  static const bool env_audit = [] {
-    const char* raw = std::getenv("BSS_AUDIT");
-    return raw != nullptr && raw[0] != '\0' &&
-           !(raw[0] == '0' && raw[1] == '\0');
-  }();
-  return env_audit;
-}
-
-/// fingerprint_prune == false resolves through BSS_EXPLORE_FP (force-on
-/// only, the BSS_AUDIT pattern: the variable can switch pruning on under
-/// an existing binary — how CI sweeps the suite with the cache engaged —
-/// but never disable an explicit request).
-bool resolve_fingerprint_prune(const ExploreOptions& options) {
-  if (options.fingerprint_prune) return true;
-  // Read per campaign (not latched like BSS_AUDIT): one getenv per
-  // explore() call is free next to any pass, and it keeps the lever usable
-  // from a single process that toggles it between campaigns.
-  const char* raw = std::getenv("BSS_EXPLORE_FP");
-  return raw != nullptr && raw[0] != '\0' &&
-         !(raw[0] == '0' && raw[1] == '\0');
-}
 
 /// Worker-count-independent schedule sampling for the commutation
 /// cross-check: FNV-1a over the canonical decision tape, so the same
@@ -598,12 +122,12 @@ struct RunOutcome {
 /// decision at a time until the run completes or is pruned.
 ///
 /// Frame-creation accounting (prune counters, budget/fault-limited flags)
-/// commits to `unit` as each new frame is materialized: the run that first
+/// commits to `tally` as each new frame is materialized: the run that first
 /// descends a path accounts its frames.  Execution deltas (transitions,
 /// faults, fault points, audit counters) are buffered and committed once,
 /// when the run ends.
 RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
-                   PassState& pass, UnitResult& unit, ObsCtx& octx,
+                   PassState& pass, Tally& tally, ObsCtx& octx,
                    Scratch& scratch) {
   const obs::ScopedPhase step_scope(octx.profiler, obs::Phase::kStep);
   RunOutcome outcome;
@@ -615,14 +139,14 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
   std::optional<audit::Auditor> auditor;
   if (opts.audit) auditor.emplace();
   const auto commit = [&] {
-    unit.stats.transitions += run_transitions;
-    unit.stats.timer_grants += run_timer_grants;
-    unit.stats.faults_injected += run_faults;
-    unit.fault_points.insert(run_fault_points.begin(), run_fault_points.end());
+    tally.stats.transitions += run_transitions;
+    tally.stats.timer_grants += run_timer_grants;
+    tally.stats.faults_injected += run_faults;
+    tally.fault_points.insert(run_fault_points.begin(), run_fault_points.end());
     if (auditor.has_value()) {
-      unit.audit.windows += auditor->windows();
-      unit.audit.accesses += auditor->accesses();
-      unit.audit.ledger_violations += auditor->violation_count();
+      tally.audit.windows += auditor->windows();
+      tally.audit.accesses += auditor->accesses();
+      tally.audit.ledger_violations += auditor->violation_count();
     }
   };
   SystemRun run(system, scratch.env, {opts.max_depth, opts.record_trace},
@@ -665,7 +189,7 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
         // is never pushed (its subtree is skipped wholesale) and its
         // siblings-at-this-node accounting never runs — matching what the
         // serial pruned explorer does, so parallel stays byte-identical.
-        ++unit.stats.fingerprint_prunes;
+        ++tally.stats.fingerprint_prunes;
         env.finish();
         commit();
         if (octx.shard != nullptr) {
@@ -677,7 +201,7 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
         outcome.pruned = true;
         return outcome;
       }
-      const bool cut = account_frame(frame, pass, unit);
+      const bool cut = account_frame(frame, pass, tally);
       if (pass.fp_prune && cut) {
         // A budget/fault filter cut siblings here: this node's subtree is
         // incompletely covered, which taints it and every open ancestor.
@@ -717,8 +241,8 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
   env.finish();
   commit();
 
-  ++unit.stats.schedules;
-  unit.stats.max_depth_seen = std::max(unit.stats.max_depth_seen, granted);
+  ++tally.stats.schedules;
+  tally.stats.max_depth_seen = std::max(tally.stats.max_depth_seen, granted);
   if (octx.shard != nullptr) {
     RunCells& cells = octx.cells;
     if (cells.schedules == nullptr) {  // every completed run bumps all six
@@ -738,7 +262,7 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
     cells.schedule_depth->observe(granted);
   }
   if (truncated) {
-    ++unit.stats.truncated;
+    ++tally.stats.truncated;
     if (octx.shard != nullptr) {
       ++counter_cell(*octx.shard, octx.cells.truncated, "explore.truncated");
     }
@@ -757,7 +281,7 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
     // the property check is clean — real violations take precedence.
     outcome.violation = auditor->summary();
     for (const auto& violation : auditor->violations()) {
-      unit.audit.note(violation.to_string());
+      tally.audit.note(violation.to_string());
     }
   }
   if (outcome.violation.has_value()) {
@@ -777,12 +301,12 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
         system, actions, [](const sim::OpDesc& a, const sim::OpDesc& b) {
           return ops_commute(a, b);
         });
-    ++unit.audit.schedules_cross_checked;
-    unit.audit.pairs_considered += cross.pairs_considered;
-    unit.audit.swaps_replayed += cross.swaps_replayed;
-    unit.audit.commute_mismatches += cross.mismatches.size();
+    ++tally.audit.schedules_cross_checked;
+    tally.audit.pairs_considered += cross.pairs_considered;
+    tally.audit.swaps_replayed += cross.swaps_replayed;
+    tally.audit.commute_mismatches += cross.mismatches.size();
     for (const auto& mismatch : cross.mismatches) {
-      unit.audit.note("commute mismatch: " + mismatch.detail);
+      tally.audit.note("commute mismatch: " + mismatch.detail);
     }
     if (octx.shard != nullptr) {
       ++octx.shard->counter("audit.schedules_cross_checked");
@@ -791,7 +315,7 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
     if (octx.sink != nullptr && octx.sink->events_enabled()) {
       obs::Event event;
       event.kind = "audit.cross_check";
-      event.step = unit.audit.schedules_cross_checked;
+      event.step = tally.audit.schedules_cross_checked;
       event.worker = octx.worker;
       event.fields.emplace_back("pairs",
                                 std::to_string(cross.pairs_considered));
@@ -802,90 +326,6 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
     }
   }
   return outcome;
-}
-
-/// Replays `tape` — grants and faults — skipping inapplicable entries and
-/// completing round-robin past its end (each counted as a divergence, the
-/// ReplayScheduler contract), then re-checks the property.
-struct TapeResult {
-  bool reproduced = false;
-  std::string violation;
-  std::vector<int> canonical;
-  std::uint64_t divergences = 0;
-  bool truncated = false;
-  sim::RunReport report;
-};
-
-TapeResult run_tape(const ExplorableSystem& system, const ExploreOptions& opts,
-                    const std::vector<int>& tape,
-                    obs::ObsSink* env_sink = nullptr) {
-  const obs::ScopedPhase replay_scope(
-      opts.telemetry != nullptr ? opts.telemetry->profiler() : nullptr,
-      obs::Phase::kReplay);
-  TapeResult result;
-  // Replays audit too, so audit-found counterexamples reproduce (and
-  // minimize) through the same machinery as property violations.
-  std::optional<audit::Auditor> auditor;
-  if (opts.audit) auditor.emplace();
-  // Fault-action events (sim.crash / sim.restart / sim.sc_failure) are
-  // attached only on explicit replays: exploration re-runs the factory
-  // thousands of times and would drown the bounded event log.  Checks may
-  // read the trace on replay, so it is always recorded.
-  sim::SimEnv env;
-  SystemRun run(system, env, {opts.max_depth, true},
-                auditor.has_value() ? &*auditor : nullptr, env_sink);
-  const int n = env.process_count();
-
-  std::size_t next = 0;
-  int rr_cursor = 0;
-  std::uint64_t granted = 0;
-  std::vector<int> parked;
-  for (;;) {
-    env.parked_processes(parked);
-    if (parked.empty()) break;
-    if (granted >= opts.max_depth) {
-      result.truncated = true;
-      break;
-    }
-    int choice = kNoChoice;
-    while (next < tape.size()) {
-      const int candidate = tape[next++];
-      if (env.can_apply(decode_action(candidate))) {
-        choice = candidate;
-        break;
-      }
-      ++result.divergences;
-    }
-    if (choice == kNoChoice) {
-      for (int i = 0; i < n; ++i) {
-        const int pid = (rr_cursor + i) % n;
-        if (env.is_parked(pid)) {
-          choice = pid;
-          rr_cursor = pid + 1;
-          break;
-        }
-      }
-      ++result.divergences;
-    }
-    const Action action = decode_action(choice);
-    if (takes_step(action)) ++granted;
-    env.apply(action);
-    result.canonical.push_back(choice);
-  }
-  env.finish();
-
-  result.report = env.snapshot_report();
-  result.report.step_limit_hit = result.truncated;
-  if (result.truncated) return result;
-  const auto violation = run.instance->check(env, result.report);
-  if (violation.has_value()) {
-    result.reproduced = true;
-    result.violation = *violation;
-  } else if (auditor.has_value() && !auditor->clean()) {
-    result.reproduced = true;
-    result.violation = auditor->summary();
-  }
-  return result;
 }
 
 // ------------------------------------------------- parallel pass machinery
@@ -904,19 +344,6 @@ struct MergeOutcome {
   bool budget_limited = false;
   bool fault_limited = false;
 };
-
-/// Records a violation plus a checkpoint of the unit's cumulative state, so
-/// the merge can cut this unit exactly at any of its violations.
-void record_violation(UnitResult& unit, Counterexample cex) {
-  unit.violations.push_back(std::move(cex));
-  UnitCheckpoint cp;
-  cp.stats = unit.stats;
-  cp.audit = unit.audit;
-  cp.fault_points = unit.fault_points;
-  cp.budget_limited = unit.budget_limited;
-  cp.fault_limited = unit.fault_limited;
-  unit.checkpoints.push_back(std::move(cp));
-}
 
 /// `system_name` is system.name(), which the caller builds once rather than
 /// once per violation.
@@ -944,12 +371,13 @@ Counterexample build_counterexample(const ExplorableSystem& system,
 
 /// Folds ONE unit into `result` under the serial explorer's stop rule:
 /// the first violation at which the serial loop would have stopped cuts the
-/// fold at that unit's checkpoint, discarding everything the worker explored
-/// speculatively past the stop point.  Returns true when the merge ends AT
-/// this unit (violation cut or schedule cap) — later units must not be
-/// folded.  With a non-null `sink` the fold emits the deterministic
-/// merge-time events (the real merge); the checkpoint snapshot fold passes
-/// nullptr and reproduces the exact same fold silently, on copies.
+/// fold at the tally recorded with that violation, discarding everything
+/// the worker explored speculatively past the stop point.  Returns true
+/// when the merge ends AT this unit (violation cut or schedule cap) — later
+/// units must not be folded.  With a non-null `sink` the fold emits the
+/// deterministic merge-time events (the real merge); the checkpoint
+/// snapshot fold passes nullptr and reproduces the exact same fold
+/// silently, on a copy.  The fold moves the unit's counterexamples out.
 bool merge_one(UnitResult& unit, const ExploreOptions& opts,
                ExploreResult& result, std::set<FaultPoint>& fault_points,
                MergeOutcome& out, obs::ObsSink* sink) {
@@ -995,48 +423,26 @@ bool merge_one(UnitResult& unit, const ExploreOptions& opts,
       break;
     }
   }
+  const Tally& tally = cut.has_value() ? unit.violations[*cut].at : unit.tally;
+  result.stats.merge_from(tally.stats);
+  result.audit.merge_from(tally.audit);
+  cover_fault_points(tally.fault_points);
+  out.budget_limited |= tally.budget_limited;
+  out.fault_limited |= tally.fault_limited;
+  const std::size_t folded =
+      cut.has_value() ? *cut + 1 : unit.violations.size();
+  for (std::size_t i = 0; i < folded; ++i) {
+    note_violation(std::move(unit.violations[i].cex));
+  }
   if (cut.has_value()) {
-    const UnitCheckpoint& cp = unit.checkpoints[*cut];
-    result.stats.merge_from(cp.stats);
-    result.audit.merge_from(cp.audit);
-    cover_fault_points(cp.fault_points);
-    out.budget_limited |= cp.budget_limited;
-    out.fault_limited |= cp.fault_limited;
-    for (std::size_t i = 0; i <= *cut; ++i) {
-      note_violation(std::move(unit.violations[i]));
-    }
     out.stopped = true;
     return true;
-  }
-  result.stats.merge_from(unit.stats);
-  result.audit.merge_from(unit.audit);
-  cover_fault_points(unit.fault_points);
-  out.budget_limited |= unit.budget_limited;
-  out.fault_limited |= unit.fault_limited;
-  for (auto& cex : unit.violations) {
-    note_violation(std::move(cex));
   }
   if (unit.cap_hit) {
     out.cap_hit = true;
     return true;
   }
   return false;
-}
-
-/// Folds a pass's units into `result` in DFS order, reproducing the serial
-/// explorer's stop rule exactly via merge_one.
-MergeOutcome merge_pass(std::vector<UnitResult>& units,
-                        const ExploreOptions& opts, ExploreResult& result,
-                        std::set<FaultPoint>& fault_points) {
-  MergeOutcome out;
-  for (UnitResult& unit : units) {
-    expects(!unit.skipped,
-            "deterministic merge reached a unit skipped past a stop");
-    if (merge_one(unit, opts, result, fault_points, out, opts.telemetry)) {
-      break;
-    }
-  }
-  return out;
 }
 
 // ------------------------------------------------ work-stealing pass engine
@@ -1056,7 +462,27 @@ struct StealUnit {
   Status status = Status::kPending;
   bool abort = false;  ///< deterministic stop confirmed before this unit ran
   bool stolen = false;  ///< unit was split off a victim (worker-beat steals)
+  bool skipped = false;  ///< past a confirmed stop; results dropped
 };
+
+/// Folds a pass's units into `result` in DFS order, reproducing the serial
+/// explorer's stop rule exactly via merge_one.  `out` starts as `restored`:
+/// what the folded prefix of a resumed pass concluded before the kill.
+MergeOutcome merge_pass(std::list<StealUnit>& units,
+                        const ExploreOptions& opts, ExploreResult& result,
+                        std::set<FaultPoint>& fault_points,
+                        MergeOutcome restored) {
+  MergeOutcome out = restored;
+  for (StealUnit& unit : units) {
+    expects(!unit.skipped,
+            "deterministic merge reached a unit skipped past a stop");
+    if (merge_one(unit.result, opts, result, fault_points, out,
+                  opts.telemetry)) {
+      break;
+    }
+  }
+  return out;
+}
 
 /// Shared state of one stealing pass.  The std::list gives iterator-stable
 /// DFS order: a split inserts the thief unit right after its victim, so at
@@ -1082,35 +508,6 @@ struct StealPool {
   std::size_t frontier_violations = 0;
 };
 
-/// Splits the victim's DFS at its shallowest splittable depth >= floor +
-/// steal_depth: the thief takes the *rest of the victim's walk* — the
-/// unexplored siblings at depth d plus every backtrack below, down to the
-/// victim's old floor — while the victim keeps only its current depth-d
-/// subtree (its floor rises to d+1).  Both halves stay contiguous DFS
-/// segments with the victim's strictly first, so inserting the thief right
-/// after the victim preserves global DFS order; a later, necessarily deeper
-/// split inserts between them, which is again the DFS order.
-bool try_split(PassState& pass, int steal_depth, StealUnit& thief) {
-  const std::size_t base =
-      pass.floor + static_cast<std::size_t>(std::max(steal_depth, 0));
-  for (std::size_t d = base; d < pass.frames.size(); ++d) {
-    Frame probe = pass.frames[d];
-    probe.done.push_back(probe.chosen);
-    probe.chosen = kNoChoice;
-    const int next = select_choice(probe, pass);
-    if (next == kNoChoice) continue;
-    probe.chosen = next;
-    thief.frames.assign(pass.frames.begin(),
-                        pass.frames.begin() + static_cast<std::ptrdiff_t>(d));
-    thief.frames.push_back(std::move(probe));
-    thief.floor = pass.floor;
-    thief.stolen = true;
-    pass.floor = d + 1;
-    return true;
-  }
-  return false;
-}
-
 CheckpointUnit serialize_steal_unit(const StealUnit& unit) {
   CheckpointUnit out;
   out.complete = unit.status == StealUnit::Status::kComplete;
@@ -1125,30 +522,11 @@ CheckpointUnit serialize_steal_unit(const StealUnit& unit) {
     }
     out.floor = unit.floor;
   }
-  const UnitResult& r = unit.result;
-  out.fp_partials = r.fp_partials;
-  out.stats = r.stats;
-  out.audit = r.audit;
-  out.fault_points.assign(r.fault_points.begin(), r.fault_points.end());
-  for (std::size_t i = 0; i < r.violations.size(); ++i) {
-    CheckpointViolation v;
-    v.cex = r.violations[i];
-    const UnitCheckpoint& cp = r.checkpoints[i];
-    v.stats = cp.stats;
-    v.audit = cp.audit;
-    v.fault_points.assign(cp.fault_points.begin(), cp.fault_points.end());
-    v.budget_limited = cp.budget_limited;
-    v.fault_limited = cp.fault_limited;
-    out.violations.push_back(std::move(v));
-  }
-  out.budget_limited = r.budget_limited;
-  out.fault_limited = r.fault_limited;
-  out.cap_hit = r.cap_hit;
-  out.stopped = r.stopped;
+  out.result = unit.result;
   return out;
 }
 
-/// Re-materializes a persisted unit: partial results restore directly; the
+/// Re-materializes a persisted unit: its results restore as they are; the
 /// frame stack replays its decisions on a fresh SimEnv, recomputing the
 /// runnable sets, pending operations, bitmasks and sleep sets the artifact
 /// deliberately does not store.  The replay doubles as an integrity check —
@@ -1158,25 +536,7 @@ StealUnit materialize_steal_unit(const ExplorableSystem& system,
                                  const PassState& base,
                                  const CheckpointUnit& cu) {
   StealUnit unit;
-  UnitResult& r = unit.result;
-  r.fp_partials = cu.fp_partials;
-  r.stats = cu.stats;
-  r.audit = cu.audit;
-  r.fault_points.insert(cu.fault_points.begin(), cu.fault_points.end());
-  for (const CheckpointViolation& v : cu.violations) {
-    r.violations.push_back(v.cex);
-    UnitCheckpoint cp;
-    cp.stats = v.stats;
-    cp.audit = v.audit;
-    cp.fault_points.insert(v.fault_points.begin(), v.fault_points.end());
-    cp.budget_limited = v.budget_limited;
-    cp.fault_limited = v.fault_limited;
-    r.checkpoints.push_back(std::move(cp));
-  }
-  r.budget_limited = cu.budget_limited;
-  r.fault_limited = cu.fault_limited;
-  r.cap_hit = cu.cap_hit;
-  r.stopped = cu.stopped;
+  unit.result = cu.result;
   if (cu.complete) {
     unit.status = StealUnit::Status::kComplete;
     return unit;
@@ -1217,10 +577,11 @@ StealUnit materialize_steal_unit(const ExplorableSystem& system,
 }
 
 /// Checkpoint-writer state threaded through a campaign: `seq` numbering
-/// spans passes (and resumes), the pass-position fields are refreshed by
-/// explore() before each pass, and `merged`/`covered` point at the result
-/// accumulated by the between-pass merges (never mutated while a pass
-/// runs, so the writer may read them without coordination).
+/// spans passes (and resumes), `at` is refreshed by explore() before each
+/// pass, and the pointers point at explore()'s state: the result
+/// accumulated by the between-pass merges, and what a resumed pass's
+/// artifact restored (never mutated while a pass runs, so the writer may
+/// read them without coordination).
 struct CheckpointCtx {
   std::uint64_t seq = 0;
   std::uint64_t written = 0;   ///< all artifacts this explore() call wrote
@@ -1230,25 +591,17 @@ struct CheckpointCtx {
   /// across pass boundaries: a checkpoint that comes due in a pass's last
   /// runs is written early in the next pass instead of being dropped.
   std::atomic<std::uint64_t> last_checkpoint_at{0};
-  std::uint64_t pass_ordinal = 0;
-  std::uint64_t fault_index = 0;
-  std::uint64_t preemption_index = 0;
-  bool cap_hit = false;
-  bool stopped = false;
-  bool last_pass_budget_limited = false;
-  /// MergeOutcome flags restored from a resumed pass's artifact, pre-seeded
-  /// into every snapshot fold of that pass.
-  bool restored_budget_limited = false;
-  bool restored_fault_limited = false;
+  CheckpointProgress at;  ///< the pass flags stay false
   const ExploreResult* merged = nullptr;
   const std::set<FaultPoint>* covered = nullptr;
-  /// Visited-state cache state (fingerprint_prune only): the cache frozen
-  /// at the start of the current pass, and the coverage partials of units
-  /// already folded into `merged` (restored from a resumed artifact, then
-  /// extended as checkpoints fold more prefix units).  Both null when
-  /// pruning is off.
-  const FpCache* fp_cache = nullptr;
+  /// What the units folded into a resumed pass's prefix concluded: the
+  /// MergeOutcome every snapshot fold of the pass starts from, and their
+  /// coverage partials (fingerprint_prune only).  Empty on other passes.
+  const MergeOutcome* restored = nullptr;
   const std::vector<FingerprintPartial>* restored_partials = nullptr;
+  /// The visited-state cache frozen at the start of the current pass;
+  /// null when pruning is off.
+  const FpCache* fp_cache = nullptr;
 };
 
 /// Fingerprint-prune hit rate in parts per million of all schedule
@@ -1298,6 +651,30 @@ struct StatusCtx {
   }
 };
 
+/// Writes one `bss-checkpoint v1` artifact, atomically, to checkpoint_path.
+/// Fills the header every artifact shares — the campaign, the merged result
+/// `merged` and its fault-site coverage `covered` — into `cp`, whose rest
+/// the caller filled: the progress and frontier of a periodic snapshot, or
+/// the final one's progress and `complete`.
+void write_checkpoint(const ExplorableSystem& system,
+                      const ExploreOptions& opts, CheckpointCtx& ckpt,
+                      StatusCtx* status, ExploreResult merged,
+                      std::set<FaultPoint> covered, Checkpoint& cp) {
+  cp.seq = ckpt.seq++;
+  cp.system = system.name();
+  cp.processes = system.process_count();
+  cp.options = CheckpointOptions::key_of(opts);
+  cp.stats = merged.stats;
+  cp.stats.fault_points = covered.size();
+  cp.audit = std::move(merged.audit);
+  cp.violations = std::move(merged.violations);
+  cp.fault_points = std::move(covered);
+  expects(write_checkpoint_file(opts.checkpoint_path, cp.to_artifact()),
+          "failed to write checkpoint artifact: " + opts.checkpoint_path);
+  ++ckpt.written;
+  if (status != nullptr) status->writer.note_checkpoint();
+}
+
 /// Per-worker heartbeat cells, allocated only when a status file is on.
 /// Workers publish with relaxed stores; the heartbeat thread reads them
 /// approximately — nothing here is part of the deterministic result.
@@ -1322,7 +699,7 @@ const char* beat_state_name(int state) {
 }
 
 struct StealPassOutput {
-  std::vector<UnitResult> units;  ///< DFS order, every unit complete
+  std::list<StealUnit> units;  ///< DFS order, every unit complete
   bool halted = false;          ///< halt_after_checkpoints fired mid-pass
 };
 
@@ -1389,15 +766,14 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
     if (pool.stop_confirmed) return;
     while (pool.frontier != pool.units.end() &&
            pool.frontier->status == StealUnit::Status::kComplete) {
+      // No unit past a confirmed stop is walked, so none here is skipped.
       const UnitResult& unit = pool.frontier->result;
       bool stops = unit.cap_hit;
-      if (!unit.skipped) {
-        for (std::size_t i = 0; i < unit.violations.size() && !stops; ++i) {
-          ++pool.frontier_violations;
-          if (opts.stop_at_first_violation ||
-              pool.frontier_violations >= opts.max_violations) {
-            stops = true;
-          }
+      for (std::size_t i = 0; i < unit.violations.size() && !stops; ++i) {
+        ++pool.frontier_violations;
+        if (opts.stop_at_first_violation ||
+            pool.frontier_violations >= opts.max_violations) {
+          stops = true;
         }
       }
       ++pool.frontier;
@@ -1411,7 +787,7 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
             --pool.pending;
             it->status = StealUnit::Status::kComplete;
             it->result = UnitResult{};
-            it->result.skipped = true;
+            it->skipped = true;
             it->frames.clear();
           } else if (it->status == StealUnit::Status::kRunning) {
             it->abort = true;
@@ -1429,57 +805,33 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
   /// the snapshot is exactly the merged result of a serial campaign that
   /// got this far; the rest of the frontier is serialized as outstanding
   /// work.
-  const auto write_checkpoint = [&](const ObsCtx& octx) {
+  const auto checkpoint_now = [&](const ObsCtx& octx) {
     const obs::ScopedPhase checkpoint_scope(octx.profiler,
                                             obs::Phase::kCheckpointWrite);
-    Checkpoint cp;
-    cp.seq = ckpt->seq++;
-    cp.system = system.name();
-    cp.processes = system.process_count();
-    cp.options = CheckpointOptions::key_of(opts);
-    cp.pass_ordinal = ckpt->pass_ordinal;
-    cp.fault_index = ckpt->fault_index;
-    cp.preemption_index = ckpt->preemption_index;
-    cp.cap_hit = ckpt->cap_hit;
-    cp.stopped = ckpt->stopped;
-    cp.last_pass_budget_limited = ckpt->last_pass_budget_limited;
-    ExploreResult folded;
-    folded.stats = ckpt->merged->stats;
-    folded.audit = ckpt->merged->audit;
-    folded.violations = ckpt->merged->violations;
+    ExploreResult folded = *ckpt->merged;
     std::set<FaultPoint> covered = *ckpt->covered;
-    MergeOutcome fold;
-    fold.budget_limited = ckpt->restored_budget_limited;
-    fold.fault_limited = ckpt->restored_fault_limited;
-    if (ckpt->restored_partials != nullptr) {
-      cp.fp_partials = *ckpt->restored_partials;
-    }
+    MergeOutcome fold = *ckpt->restored;
+    Checkpoint cp;
+    cp.fp_partials = *ckpt->restored_partials;
     bool prefix_stopped = false;
     auto it = pool.units.begin();
     while (it != pool.units.end() &&
-           it->status == StealUnit::Status::kComplete &&
-           !it->result.skipped) {
+           it->status == StealUnit::Status::kComplete && !it->skipped) {
       UnitResult copy = it->result;
       const bool ends = merge_one(copy, opts, folded, covered, fold, nullptr);
-      cp.fp_partials.insert(cp.fp_partials.end(), it->result.fp_partials.begin(),
-                            it->result.fp_partials.end());
+      cp.fp_partials.insert(cp.fp_partials.end(), copy.fp_partials.begin(),
+                            copy.fp_partials.end());
       ++it;
       if (ends) {
         prefix_stopped = true;
         break;
       }
     }
-    cp.stopped |= fold.stopped;
-    cp.cap_hit |= fold.cap_hit;
-    cp.pass_budget_limited = fold.budget_limited;
-    cp.pass_fault_limited = fold.fault_limited;
-    folded.stats.fault_points = covered.size();
-    cp.stats = folded.stats;
-    cp.audit = folded.audit;
-    cp.violations = std::move(folded.violations);
-    for (const FaultPoint& point : covered) {
-      cp.fault_points.emplace_back(point.first, point.second);
-    }
+    cp.progress = ckpt->at;
+    cp.progress.cap_hit |= fold.cap_hit;
+    cp.progress.stopped |= fold.stopped;
+    cp.progress.pass_budget_limited = fold.budget_limited;
+    cp.progress.pass_fault_limited = fold.fault_limited;
     if (!prefix_stopped) {
       for (; it != pool.units.end(); ++it) {
         cp.frontier.push_back(serialize_steal_unit(*it));
@@ -1491,11 +843,9 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
       // resumed pass reproduce every pruning decision bit-for-bit.
       cp.fp_cache.assign(ckpt->fp_cache->begin(), ckpt->fp_cache->end());
     }
-    expects(write_checkpoint_file(opts.checkpoint_path, cp.to_artifact()),
-            "failed to write checkpoint artifact: " + opts.checkpoint_path);
-    ++ckpt->written;
+    write_checkpoint(system, opts, *ckpt, status, std::move(folded),
+                     std::move(covered), cp);
     ++ckpt->periodic;
-    if (status != nullptr) status->writer.note_checkpoint();
     ckpt->last_checkpoint_at.store(
         budget.schedules.load(std::memory_order_relaxed),
         std::memory_order_relaxed);
@@ -1592,7 +942,10 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
             } else {
               while (pool.pending < pool.idle) {
                 StealUnit thief;
-                if (!try_split(pass, steal_depth, thief)) break;
+                if (!try_split(pass, steal_depth, thief.frames, thief.floor)) {
+                  break;
+                }
+                thief.stolen = true;
                 pool.units.insert(std::next(self), std::move(thief));
                 ++pool.pending;
                 if (octx.shard != nullptr) {
@@ -1615,7 +968,7 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
               self->result = local;
               if (ckpt != nullptr &&
                   pool.checkpoint_due.load(std::memory_order_relaxed)) {
-                write_checkpoint(octx);
+                checkpoint_now(octx);
                 pool.checkpoint_due.store(false, std::memory_order_relaxed);
                 if (opts.halt_after_checkpoints > 0 &&
                     ckpt->periodic >= opts.halt_after_checkpoints) {
@@ -1635,7 +988,8 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
             local.cap_hit = true;
             break;
           }
-          RunOutcome outcome = run_one(system, opts, pass, local, octx, scratch);
+          RunOutcome outcome =
+              run_one(system, opts, pass, local.tally, octx, scratch);
           if (!outcome.pruned) {
             if (beat != nullptr) {
               beat->schedules.fetch_add(1, std::memory_order_relaxed);
@@ -1652,9 +1006,11 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
             }
           }
           if (outcome.violation.has_value()) {
-            record_violation(local, build_counterexample(
-                                        system, system_name, opts,
-                                        std::move(outcome), local.stats, octx));
+            // Built first: minimizing adds to the tally's shrink counters.
+            Counterexample cex = build_counterexample(
+                system, system_name, opts, std::move(outcome),
+                local.tally.stats, octx);
+            local.violations.push_back({std::move(cex), local.tally});
             if (opts.stop_at_first_violation ||
                 local.violations.size() >= quota) {
               local.stopped = true;
@@ -1680,7 +1036,7 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
           self->floor = 0;
           if (aborted) {
             self->result = UnitResult{};
-            self->result.skipped = true;
+            self->skipped = true;
           } else {
             self->result = std::move(local);
           }
@@ -1695,7 +1051,7 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
           span.begin_ns = unit_begin;
           span.end_ns = sink->now_ns();
           span.args.emplace_back(
-              "schedules", std::to_string(self->result.stats.schedules));
+              "schedules", std::to_string(self->result.tally.stats.schedules));
           sink->record_span(std::move(span));
         }
       }
@@ -1742,7 +1098,7 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
       std::uint64_t prunes = status->merged->stats.fingerprint_prunes;
       for (const StealUnit& unit : pool.units) {
         if (unit.status != StealUnit::Status::kComplete) ++frontier;
-        prunes += unit.result.stats.fingerprint_prunes;
+        prunes += unit.result.tally.stats.fingerprint_prunes;
       }
       s.frontier = frontier;
       s.fingerprint_prunes = prunes;
@@ -1795,11 +1151,11 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
     output.halted = true;
     return output;
   }
-  for (auto& unit : pool.units) {
+  for (const StealUnit& unit : pool.units) {
     expects(unit.status == StealUnit::Status::kComplete,
             "stealing pass ended with an incomplete unit");
-    output.units.push_back(std::move(unit.result));
   }
+  output.units = std::move(pool.units);
   return output;
 }
 
@@ -1820,129 +1176,17 @@ int resolve_jobs(const ExploreOptions& options) {
 
 }  // namespace
 
-std::size_t Counterexample::fault_count() const {
-  return static_cast<std::size_t>(
-      std::count_if(decisions.begin(), decisions.end(),
-                    [](int decision) { return is_fault_action(decision); }));
-}
-
-Counterexample minimize_counterexample(const ExplorableSystem& system,
-                                       Counterexample cex,
-                                       const ExploreOptions& requested,
-                                       ExploreStats* stats) {
-  ExploreOptions options = requested;
-  options.audit = resolve_audit(requested);
-  const obs::ScopedPhase ddmin_scope(
-      options.telemetry != nullptr ? options.telemetry->profiler() : nullptr,
-      obs::Phase::kDdmin);
-  std::uint64_t used = 0;
-  const auto count_run = [&] {
-    ++used;
-    if (stats != nullptr) ++stats->shrink_runs;
-  };
-  // ddmin progress events: stamped with the re-execution count *within this
-  // minimization*, so the per-counterexample shrink trajectory is
-  // deterministic even when several minimizations interleave across workers.
-  obs::ObsSink* sink = options.telemetry;
-  const bool events = sink != nullptr && sink->events_enabled();
-  const auto emit_ddmin = [&](const char* kind, std::size_t from,
-                              std::size_t to) {
-    if (!events) return;
-    obs::Event event;
-    event.kind = kind;
-    event.step = used;
-    event.fields.emplace_back("from", std::to_string(from));
-    event.fields.emplace_back("to", std::to_string(to));
-    sink->emit(std::move(event));
-  };
-  // The shrink analogue of max_schedules: ddmin replays on a pathological
-  // tape must not run unboundedly after the exploration budget is spent.
-  const auto budget_left = [&] {
-    return options.shrink_budget == 0 || used < options.shrink_budget;
-  };
-  // Canonicalize up front and keep `best` canonical throughout: always the
-  // *complete* decision sequence of a violating run, so the replayer
-  // re-executes the result verbatim — zero divergences, no silent fallback.
-  count_run();
-  TapeResult current = run_tape(system, options, cex.decisions);
-  expects(current.reproduced,
-          "counterexample does not reproduce before minimization "
-          "(nondeterministic system factory?)");
-  std::vector<int> best = std::move(current.canonical);
-  std::string violation = std::move(current.violation);
-  cex.shrunk_from = std::max(cex.decisions.size(), best.size());
-  emit_ddmin("ddmin.start", cex.shrunk_from, best.size());
-
-  // Greedy ddmin-style chunk deletion: drop spans of halving size wherever
-  // the violation still reproduces.  The fallback completes a truncated
-  // candidate along a possibly *longer* schedule (LL/SC retry loops make
-  // step counts schedule-dependent), so a deletion is accepted only when
-  // its canonical tape is a strict length win.  Fault entries are ordinary
-  // tape entries here: spans containing them are dropped like any other,
-  // so a violation that needs fewer faults shrinks to fewer faults.
-  bool budget_hit = false;
-  std::vector<int> candidate;  // hoisted: reused across every ddmin replay
-  for (std::size_t chunk = std::max<std::size_t>(best.size() / 2, 1);;
-       chunk /= 2) {
-    std::size_t start = 0;
-    while (start < best.size()) {
-      if (!budget_left()) {
-        budget_hit = true;
-        break;
-      }
-      const std::size_t len = std::min(chunk, best.size() - start);
-      candidate.clear();
-      candidate.reserve(best.size() - len);
-      candidate.insert(candidate.end(), best.begin(),
-                       best.begin() + static_cast<std::ptrdiff_t>(start));
-      candidate.insert(candidate.end(),
-                       best.begin() + static_cast<std::ptrdiff_t>(start + len),
-                       best.end());
-      count_run();
-      TapeResult attempt = run_tape(system, options, candidate);
-      if (attempt.reproduced && attempt.canonical.size() < best.size()) {
-        emit_ddmin("ddmin.accept", best.size(), attempt.canonical.size());
-        best = std::move(attempt.canonical);
-        violation = std::move(attempt.violation);
-        // retry the same start position against the new, shorter tape
-      } else {
-        start += chunk;
-      }
-    }
-    if (budget_hit || chunk == 1) break;
-  }
-  if (budget_hit && stats != nullptr) ++stats->shrink_budget_hits;
-  emit_ddmin(budget_hit ? "ddmin.budget_hit" : "ddmin.done", cex.shrunk_from,
-             best.size());
-
-  cex.decisions = std::move(best);
-  cex.violation = std::move(violation);
-  return cex;
-}
-
-ReplayOutcome replay_counterexample(const ExplorableSystem& system,
-                                    const Counterexample& cex,
-                                    const ExploreOptions& requested) {
-  ExploreOptions options = requested;
-  options.audit = resolve_audit(requested);
-  TapeResult result = run_tape(system, options, cex.decisions,
-                               options.telemetry);
-  ReplayOutcome outcome;
-  outcome.violated = result.reproduced;
-  outcome.violation = std::move(result.violation);
-  outcome.divergences = result.divergences;
-  outcome.truncated = result.truncated;
-  outcome.report = std::move(result.report);
-  return outcome;
-}
-
 ExploreResult explore(const ExplorableSystem& system,
                       const ExploreOptions& requested) {
   ExploreOptions options = requested;
-  options.audit = resolve_audit(requested);
-  // Resolved here (not at use sites) so CheckpointOptions::key_of sees the
-  // effective value — a resume under a different BSS_EXPLORE_FP is caught.
-  options.fingerprint_prune = resolve_fingerprint_prune(requested);
+  // The force-on variables are resolved here, per call (not at use sites),
+  // so CheckpointOptions::key_of sees the effective values — a resume under
+  // a different BSS_AUDIT or BSS_EXPLORE_FP is caught.  Neither can disable
+  // an explicit request.
+  options.audit =
+      requested.audit || env::forces_on(std::getenv("BSS_AUDIT"));
+  options.fingerprint_prune = requested.fingerprint_prune ||
+                              env::forces_on(std::getenv("BSS_EXPLORE_FP"));
   ExploreResult result;
   result.audit.enabled = options.audit;
   const int jobs = resolve_jobs(options);
@@ -2000,11 +1244,13 @@ ExploreResult explore(const ExplorableSystem& system,
   std::set<FaultPoint> fault_points;
   // Visited-state cache (fingerprint_prune only): frozen while a pass runs,
   // extended between passes from the pass's aggregated coverage partials.
-  // `restored_fp_partials` carries the partials of units already folded
-  // into a resumed campaign's merged prefix — they join the resumed pass's
-  // own partials at its between-pass fold, so a killed-and-resumed campaign
-  // admits exactly the keys an uninterrupted one would.
+  // `restored` and `restored_fp_partials` carry what the units already
+  // folded into a resumed pass's merged prefix concluded: the merge of the
+  // pass starts from the flags, and the partials join the pass's own at
+  // its between-pass fold, so a killed-and-resumed campaign admits exactly
+  // the keys an uninterrupted one would.  Both are empty on any other pass.
   FpCache fp_cache;
+  MergeOutcome restored;
   std::vector<FingerprintPartial> restored_fp_partials;
   SharedBudget budget_valve(options.max_schedules);
   bool cap_hit = false;
@@ -2035,36 +1281,36 @@ ExploreResult explore(const ExplorableSystem& system,
     expects(resume->options == CheckpointOptions::key_of(options),
             "resume: result-affecting exploration options differ from the "
             "checkpointed campaign");
-    skip_passes = resume->complete || resume->stopped || resume->cap_hit;
-    expects(skip_passes ||
-                (resume->fault_index < fault_budgets.size() &&
-                 resume->preemption_index < preemption_budgets.size()),
+    const CheckpointProgress& at = resume->progress;
+    skip_passes = resume->complete || at.stopped || at.cap_hit;
+    expects(skip_passes || (at.fault_index < fault_budgets.size() &&
+                            at.preemption_index < preemption_budgets.size()),
             "resume: checkpoint pass position is out of range");
     result.stats = resume->stats;
     result.audit = resume->audit;
     result.audit.enabled = options.audit;
     result.violations = resume->violations;
-    for (const auto& point : resume->fault_points) {
-      fault_points.emplace(point.first, point.second);
-    }
-    cap_hit = resume->cap_hit;
-    stopped = resume->stopped;
-    last_pass_budget_limited = resume->last_pass_budget_limited;
+    fault_points = resume->fault_points;
+    cap_hit = at.cap_hit;
+    stopped = at.stopped;
+    last_pass_budget_limited = at.last_pass_budget_limited;
     for (const auto& key : resume->fp_cache) fp_cache.insert(key);
+    restored.budget_limited = at.pass_budget_limited;
+    restored.fault_limited = at.pass_fault_limited;
     restored_fp_partials = resume->fp_partials;
     // The in-progress pass resumes under its own ordinal; a pass that
     // already concluded (stop/cap confirmed in the folded prefix) counts as
     // finished.  A complete artifact stores the final total verbatim.
     pass_ordinal =
-        resume->pass_ordinal + ((skip_passes && !resume->complete) ? 1 : 0);
-    start_fault = static_cast<std::size_t>(resume->fault_index);
-    start_preempt = static_cast<std::size_t>(resume->preemption_index);
+        at.pass_ordinal + ((skip_passes && !resume->complete) ? 1 : 0);
+    start_fault = static_cast<std::size_t>(at.fault_index);
+    start_preempt = static_cast<std::size_t>(at.preemption_index);
     // The valve restores to schedules-merged + schedules-in-frontier: work
     // past the published snapshots re-runs and re-counts on resume, exactly
     // once each, so the valve stays consistent with the re-exploration.
     std::uint64_t consumed = result.stats.schedules;
     for (const CheckpointUnit& cu : resume->frontier) {
-      consumed += cu.stats.schedules;
+      consumed += cu.result.tally.stats.schedules;
     }
     budget_valve.schedules.store(consumed, std::memory_order_relaxed);
   }
@@ -2079,6 +1325,8 @@ ExploreResult explore(const ExplorableSystem& system,
         std::memory_order_relaxed);
     ckpt->merged = &result;
     ckpt->covered = &fault_points;
+    ckpt->restored = &restored;
+    ckpt->restored_partials = &restored_fp_partials;
     if (options.fingerprint_prune) ckpt->fp_cache = &fp_cache;
   }
 
@@ -2133,18 +1381,8 @@ ExploreResult explore(const ExplorableSystem& system,
       cfg.jobs = jobs;
       cfg.violations_so_far = result.violations.size();
       if (ckpt != nullptr) {
-        ckpt->pass_ordinal = this_pass;
-        ckpt->fault_index = fi;
-        ckpt->preemption_index = pi;
-        ckpt->cap_hit = cap_hit;
-        ckpt->stopped = stopped;
-        ckpt->last_pass_budget_limited = last_pass_budget_limited;
-        ckpt->restored_budget_limited =
-            resumed_pass && resume->pass_budget_limited;
-        ckpt->restored_fault_limited =
-            resumed_pass && resume->pass_fault_limited;
-        ckpt->restored_partials =
-            resumed_pass ? &restored_fp_partials : nullptr;
+        ckpt->at = {this_pass, fi, pi, cap_hit, stopped,
+                    last_pass_budget_limited, false, false};
       }
       if (status != nullptr) status->pass_ordinal = this_pass;
       StealPassOutput out = run_steal_pass(
@@ -2154,18 +1392,11 @@ ExploreResult explore(const ExplorableSystem& system,
         halted = true;
         break;
       }
-      std::vector<UnitResult>& units = out.units;
       const std::uint64_t merge_begin = spans ? sink->now_ns() : 0;
       MergeOutcome merged;
       {
         const obs::ScopedPhase merge_scope(profiler, obs::Phase::kMerge);
-        merged = merge_pass(units, options, result, fault_points);
-      }
-      if (resumed_pass) {
-        // The folded prefix of the resumed pass contributed these flags
-        // before the kill; the frontier units cannot re-derive them.
-        merged.budget_limited |= resume->pass_budget_limited;
-        merged.fault_limited |= resume->pass_fault_limited;
+        merged = merge_pass(out.units, options, result, fault_points, restored);
       }
       if (spans) {
         obs::Span span;
@@ -2173,7 +1404,7 @@ ExploreResult explore(const ExplorableSystem& system,
         span.track = obs::Timeline::kCoordinatorTrack;
         span.begin_ns = merge_begin;
         span.end_ns = sink->now_ns();
-        span.args.emplace_back("units", std::to_string(units.size()));
+        span.args.emplace_back("units", std::to_string(out.units.size()));
         sink->record_span(std::move(span));
       }
       last_pass_budget_limited = merged.budget_limited;
@@ -2192,22 +1423,24 @@ ExploreResult explore(const ExplorableSystem& system,
         // the campaign (cap/stop) fold nothing: their partials would never
         // be consulted.
         std::map<FpKey, bool> aggregated;
-        if (resumed_pass) {
-          for (const FingerprintPartial& p : restored_fp_partials) {
-            auto [it, inserted] = aggregated.try_emplace({p.lo, p.hi}, false);
-            it->second |= p.dirty;
-          }
-        }
-        for (const UnitResult& u : units) {
-          for (const FingerprintPartial& p : u.fp_partials) {
-            auto [it, inserted] = aggregated.try_emplace({p.lo, p.hi}, false);
-            it->second |= p.dirty;
-          }
+        const auto aggregate =
+            [&](const std::vector<FingerprintPartial>& partials) {
+              for (const FingerprintPartial& p : partials) {
+                aggregated.try_emplace({p.lo, p.hi}, false).first->second |=
+                    p.dirty;
+              }
+            };
+        aggregate(restored_fp_partials);
+        for (const StealUnit& unit : out.units) {
+          aggregate(unit.result.fp_partials);
         }
         for (const auto& [key, dirty] : aggregated) {
           if (!dirty) fp_cache.insert(key);
         }
       }
+      // Only the resumed pass had a prefix folded before the kill.
+      restored = MergeOutcome{};
+      restored_fp_partials.clear();
       // Pass-boundary heartbeat: publishes the post-merge totals, which the
       // in-pass writer thread cannot see.  Cadence-gated so tiny passes
       // don't spam.
@@ -2243,27 +1476,12 @@ ExploreResult explore(const ExplorableSystem& system,
     const obs::ScopedPhase checkpoint_scope(profiler,
                                             obs::Phase::kCheckpointWrite);
     Checkpoint cp;
-    cp.seq = ckpt->seq++;
-    cp.system = system.name();
-    cp.processes = system.process_count();
-    cp.options = CheckpointOptions::key_of(options);
+    cp.progress = {pass_ordinal, 0, 0, cap_hit, stopped,
+                   last_pass_budget_limited, false, false};
     cp.complete = true;
     cp.exhausted = result.exhausted;
-    cp.pass_ordinal = pass_ordinal;
-    cp.cap_hit = cap_hit;
-    cp.stopped = stopped;
-    cp.last_pass_budget_limited = last_pass_budget_limited;
-    cp.stats = result.stats;
-    cp.audit = result.audit;
-    cp.violations = result.violations;
-    for (const FaultPoint& point : fault_points) {
-      cp.fault_points.emplace_back(point.first, point.second);
-    }
-    expects(write_checkpoint_file(options.checkpoint_path, cp.to_artifact()),
-            "failed to write checkpoint artifact: " + options.checkpoint_path);
-    ++ckpt->written;
+    write_checkpoint(system, options, *ckpt, status, result, fault_points, cp);
     result.checkpoints_written = ckpt->written;
-    if (status != nullptr) status->writer.note_checkpoint();
   }
 
   if (sink != nullptr) {
@@ -2350,225 +1568,6 @@ ExploreResult explore(const ExplorableSystem& system,
     status->writer.write(status->snapshot("complete"));
   }
   return result;
-}
-
-// ---------------------------------------------------------------- reporting
-
-void ExploreStats::merge_from(const ExploreStats& other) {
-  schedules += other.schedules;
-  transitions += other.transitions;
-  timer_grants += other.timer_grants;
-  sleep_set_prunes += other.sleep_set_prunes;
-  preemption_prunes += other.preemption_prunes;
-  truncated += other.truncated;
-  max_depth_seen = std::max(max_depth_seen, other.max_depth_seen);
-  shrink_runs += other.shrink_runs;
-  shrink_budget_hits += other.shrink_budget_hits;
-  fault_prunes += other.fault_prunes;
-  faults_injected += other.faults_injected;
-  fingerprint_prunes += other.fingerprint_prunes;
-  // fault_points intentionally untouched: distinct sites dedup through a
-  // set and are written once at the end of explore().
-}
-
-std::string ExploreStats::summary() const {
-  std::ostringstream out;
-  out << "schedules=" << schedules << " transitions=" << transitions;
-  if (timer_grants > 0) out << " timer-grants=" << timer_grants;
-  out << " sleep-prunes=" << sleep_set_prunes
-      << " preemption-prunes=" << preemption_prunes;
-  if (fingerprint_prunes > 0) out << " fp-prunes=" << fingerprint_prunes;
-  out << " truncated=" << truncated << " max-depth=" << max_depth_seen
-      << " shrink-runs=" << shrink_runs;
-  if (shrink_budget_hits > 0) {
-    out << " shrink-budget-hits=" << shrink_budget_hits;
-  }
-  if (faults_injected > 0 || fault_prunes > 0) {
-    out << " faults=" << faults_injected << " fault-points=" << fault_points
-        << " fault-prunes=" << fault_prunes;
-  }
-  return out.str();
-}
-
-void AuditSummary::note(std::string finding) {
-  if (findings.size() < kMaxFindings) findings.push_back(std::move(finding));
-}
-
-void AuditSummary::merge_from(const AuditSummary& other) {
-  enabled |= other.enabled;
-  windows += other.windows;
-  accesses += other.accesses;
-  ledger_violations += other.ledger_violations;
-  schedules_cross_checked += other.schedules_cross_checked;
-  pairs_considered += other.pairs_considered;
-  swaps_replayed += other.swaps_replayed;
-  commute_mismatches += other.commute_mismatches;
-  for (const auto& finding : other.findings) note(finding);
-}
-
-std::string AuditSummary::summary() const {
-  if (!enabled) return "audit: off";
-  std::ostringstream out;
-  out << "audit: windows=" << windows << " accesses=" << accesses
-      << " ledger-violations=" << ledger_violations
-      << " cross-checked=" << schedules_cross_checked
-      << " pairs=" << pairs_considered << " swaps=" << swaps_replayed
-      << " commute-mismatches=" << commute_mismatches;
-  if (!findings.empty()) out << "\n  first: " << findings.front();
-  return out.str();
-}
-
-std::string ExploreResult::summary() const {
-  std::ostringstream out;
-  out << stats.summary() << (exhausted ? " [exhaustive]" : " [bounded]");
-  if (violations.empty()) {
-    out << " no violations";
-  } else {
-    for (const auto& cex : violations) {
-      out << "\n  VIOLATION (" << cex.decisions.size() << " decisions, "
-          << cex.fault_count() << " faults, from " << cex.shrunk_from
-          << "): " << cex.violation;
-    }
-  }
-  return out.str();
-}
-
-// ----------------------------------------------------------------- artifact
-
-std::string action_token(int decision) {
-  const Action action = decode_action(decision);
-  switch (action.kind) {
-    case ActionKind::kGrant:
-      return std::to_string(action.pid);
-    case ActionKind::kCrash:
-      return "c" + std::to_string(action.pid);
-    case ActionKind::kRestart:
-      return "r" + std::to_string(action.pid);
-    case ActionKind::kScFailure:
-      return "s" + std::to_string(action.pid);
-  }
-  return std::to_string(decision);
-}
-
-std::optional<int> parse_action_token(const std::string& token) {
-  if (token.empty()) return std::nullopt;
-  ActionKind kind = ActionKind::kGrant;
-  std::size_t offset = 0;
-  switch (token.front()) {
-    case 'c':
-      kind = ActionKind::kCrash;
-      offset = 1;
-      break;
-    case 'r':
-      kind = ActionKind::kRestart;
-      offset = 1;
-      break;
-    case 's':
-      kind = ActionKind::kScFailure;
-      offset = 1;
-      break;
-    default:
-      break;
-  }
-  int pid = 0;
-  try {
-    std::size_t used = 0;
-    pid = std::stoi(token.substr(offset), &used);
-    if (used != token.size() - offset) return std::nullopt;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-  if (pid < 0 || pid > kMaxActionPid) return std::nullopt;
-  return encode_action(kind, pid);
-}
-
-namespace {
-
-// Strict base-10 parse for artifact header counts: every byte must be a
-// digit (no sign, no whitespace, no trailing junk) and the result must not
-// exceed `limit`.  The std::stoi/std::stoull these replace threw straight
-// through from_artifact on junk like "processes: x" and silently wrapped
-// "shrunk-from: -1" to 2^64-1; a corrupt artifact must parse to nullopt,
-// never to a crash or a bogus huge count.  (Found by fuzz_counterexample.)
-std::optional<std::uint64_t> parse_artifact_count(const std::string& value,
-                                                  std::uint64_t limit) {
-  if (value.empty() || value.size() > 20) return std::nullopt;
-  std::uint64_t out = 0;
-  for (const char ch : value) {
-    if (ch < '0' || ch > '9') return std::nullopt;
-    const auto digit = static_cast<std::uint64_t>(ch - '0');
-    if (digit > limit || out > (limit - digit) / 10) return std::nullopt;
-    out = out * 10 + digit;
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string Counterexample::to_artifact() const {
-  std::ostringstream out;
-  std::string flat = violation;
-  std::replace(flat.begin(), flat.end(), '\n', ' ');
-  // v1 (grants only) stays bit-for-bit the historical format; fault tapes
-  // need the v2 token syntax.
-  out << (fault_count() == 0 ? "bss-counterexample v1\n"
-                             : "bss-counterexample v2\n");
-  out << "system: " << system << "\n";
-  out << "processes: " << processes << "\n";
-  out << "shrunk-from: " << shrunk_from << "\n";
-  out << "violation: " << flat << "\n";
-  out << "decisions:";
-  for (const int decision : decisions) out << ' ' << action_token(decision);
-  out << "\n";
-  return out.str();
-}
-
-std::optional<Counterexample> Counterexample::from_artifact(
-    const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) ||
-      (line != "bss-counterexample v1" && line != "bss-counterexample v2")) {
-    return std::nullopt;
-  }
-  Counterexample cex;
-  bool saw_decisions = false;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const auto colon = line.find(':');
-    if (colon == std::string::npos) return std::nullopt;
-    const std::string key = line.substr(0, colon);
-    std::string value = line.substr(colon + 1);
-    if (!value.empty() && value.front() == ' ') value.erase(0, 1);
-    if (key == "system") {
-      cex.system = value;
-    } else if (key == "processes") {
-      const auto count = parse_artifact_count(
-          value, static_cast<std::uint64_t>(kMaxActionPid) + 1);
-      if (!count.has_value()) return std::nullopt;
-      cex.processes = static_cast<int>(*count);
-    } else if (key == "shrunk-from") {
-      const auto count = parse_artifact_count(
-          value, std::numeric_limits<std::size_t>::max());
-      if (!count.has_value()) return std::nullopt;
-      cex.shrunk_from = static_cast<std::size_t>(*count);
-    } else if (key == "violation") {
-      cex.violation = value;
-    } else if (key == "decisions") {
-      std::istringstream tokens(value);
-      std::string token;
-      while (tokens >> token) {
-        const std::optional<int> decision = parse_action_token(token);
-        if (!decision.has_value()) return std::nullopt;
-        cex.decisions.push_back(*decision);
-      }
-      saw_decisions = true;
-    } else {
-      return std::nullopt;
-    }
-  }
-  if (!saw_decisions) return std::nullopt;
-  return cex;
 }
 
 }  // namespace bss::explore

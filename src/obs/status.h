@@ -27,6 +27,11 @@
 //                 "checkpoint_age_ms": N }                  // optional
 //   }
 //
+// `eta_seconds` is an upper bound, not an estimate: the time at the
+// cumulative rate until `schedules` reaches `max_schedules` (the safety
+// valve), present only while running.  A campaign that exhausts its space
+// first ends sooner; `bss_top` prints it as "cap in <= Ns".
+//
 // Everything outside "timing" and "profile" derives from deterministic
 // counters; those two sections are the quarantined wall-clock channel,
 // exactly the runreport split.  `progress` is integer-only (the hit rate is

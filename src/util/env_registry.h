@@ -25,7 +25,8 @@ namespace bss::env {
 #define BSS_ENV_REGISTRY(X)                                                   \
   X(BSS_ARTIFACT_DIR,                                                         \
     "directory where failing tests dump minimized counterexample artifacts") \
-  X(BSS_AUDIT, "force-enable the access-ledger auditor in every explore()")  \
+  X(BSS_AUDIT,                                                               \
+    "force-enable the access-ledger auditor (read per explore() call)")      \
   X(BSS_EXPLORE_FP,                                                          \
     "force-enable fingerprint pruning (read per explore() call)")            \
   X(BSS_EXPLORE_JOBS,                                                        \
@@ -57,6 +58,14 @@ constexpr bool is_registered_env(std::string_view name) {
     if (var.name == name) return true;
   }
   return false;
+}
+
+/// How a force-on knob (BSS_AUDIT, BSS_EXPLORE_FP) reads its value: `raw`
+/// is the getenv() result, and any value but unset, "" or "0" forces the
+/// feature on.  Callers keep the literal getenv("BSS_…") so the linter sees
+/// the name.
+constexpr bool forces_on(const char* raw) {
+  return raw != nullptr && raw[0] != '\0' && !(raw[0] == '0' && raw[1] == '\0');
 }
 
 }  // namespace bss::env

@@ -17,6 +17,7 @@
 #include "core/mutant_elections.h"
 #include "explore/election_systems.h"
 #include "explore/explore.h"
+#include "util/env_registry.h"
 
 namespace {
 
@@ -64,9 +65,7 @@ namespace {
 /// BSS_EXPLORE_FP force the audit layer or the visited-state cache on in
 /// every explore() call.  Both allocate per schedule by design.
 bool forced_on(const char* name) {
-  const char* raw = std::getenv(name);
-  return raw != nullptr && raw[0] != '\0' &&
-         !(raw[0] == '0' && raw[1] == '\0');
+  return env::forces_on(std::getenv(name));
 }
 
 /// The mutant-sweep options (bench_explore --campaign mutant) on `jobs`

@@ -24,6 +24,7 @@
 #include "registers/swmr_register.h"
 #include "runtime/scheduler.h"
 #include "runtime/sim_env.h"
+#include "util/env_registry.h"
 
 namespace bss::audit {
 namespace {
@@ -400,9 +401,7 @@ TEST(ExploreAudit, FaultSweepAuditClean) {
 // uses it), which turns the audit-off control arms below into audit-on
 // runs; skip just those assertions rather than report a spurious failure.
 bool audit_forced_by_env() {
-  const char* raw = std::getenv("BSS_AUDIT");
-  return raw != nullptr && raw[0] != '\0' &&
-         !(raw[0] == '0' && raw[1] == '\0');
+  return env::forces_on(std::getenv("BSS_AUDIT"));
 }
 
 TEST(ExploreAudit, HiddenScratchMutantRefutedWithReplayableArtifact) {

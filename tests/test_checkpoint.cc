@@ -12,9 +12,11 @@
 // out-of-range pid tokens, structural lies).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 
@@ -62,13 +64,13 @@ void expect_identical(const ExploreResult& serial, const ExploreResult& other,
 /// Runs the campaign to completion through repeated kill-and-resume cycles:
 /// every cycle halts right after ONE periodic checkpoint (dropping the
 /// engine and all in-memory state on the floor, like a SIGKILL would), then
-/// the next cycle resumes from the artifact.  Returns the final,
-/// non-halted result.
-ExploreResult run_killed_campaign(const ExplorableSystem& system,
-                                  ExploreOptions options,
-                                  const std::string& path,
-                                  std::uint64_t checkpoint_every,
-                                  int* cycles_out = nullptr) {
+/// the next cycle resumes from the artifact.  `on_halt`, when given, sees
+/// each halted cycle's artifact.  Returns the final, non-halted result.
+ExploreResult run_killed_campaign(
+    const ExplorableSystem& system, ExploreOptions options,
+    const std::string& path, std::uint64_t checkpoint_every,
+    int* cycles_out = nullptr,
+    const std::function<void(const std::string&)>& on_halt = nullptr) {
   options.checkpoint_path = path;
   options.checkpoint_every = checkpoint_every;
   options.halt_after_checkpoints = 1;
@@ -83,6 +85,7 @@ ExploreResult run_killed_campaign(const ExplorableSystem& system,
     }
     EXPECT_EQ(result.checkpoints_written, 1u)
         << "a halted cycle writes exactly the one periodic checkpoint";
+    if (on_halt) on_halt(read_file(path));
   }
   ADD_FAILURE() << "campaign did not converge within 1000 resume cycles";
   if (cycles_out != nullptr) *cycles_out = cycles;
@@ -182,6 +185,39 @@ TEST(Checkpoint, KillAndResumeWithFourWorkersByteIdentical) {
   const ExploreResult resumed = run_killed_campaign(
       system, options, temp_path("cp_jobs4.json"), 80);
   expect_identical(uninterrupted, resumed, "jobs=4 kill-and-resume");
+}
+
+TEST(Checkpoint, KillAndResumeCollectAllWithFourWorkersByteIdentical) {
+  // Collect-all at jobs=4: the merge cuts a unit at the violation where the
+  // serial explorer stops, so the tally recorded with each violation of a
+  // frontier unit must survive the artifact round trip.  Which unit holds
+  // which violation at a checkpoint depends on steal timing; a 24-violation
+  // quota checkpointed every 5 schedules gives ~25 kill cycles, so some
+  // halted artifact holds a multi-violation unit even on a loaded machine.
+  OneShotSystem system(4, 2, OneShotMutant::kSplitCas);
+  ExploreOptions options;
+  options.use_por = false;
+  options.stop_at_first_violation = false;
+  options.max_violations = 24;
+  const ExploreResult uninterrupted = explore(system, options);  // serial
+  ASSERT_EQ(uninterrupted.violations.size(), 24u);
+  options.jobs = 4;
+  std::size_t most = 0;  // most violations one frontier unit carried
+  int cycles = 0;
+  const ExploreResult resumed = run_killed_campaign(
+      system, options, temp_path("cp_collect_jobs4.json"), 5, &cycles,
+      [&](const std::string& text) {
+        const auto cp = Checkpoint::from_artifact(text);
+        ASSERT_TRUE(cp.has_value());
+        EXPECT_EQ(cp->to_artifact(), text);
+        for (const CheckpointUnit& unit : cp->frontier) {
+          most = std::max(most, unit.result.violations.size());
+        }
+      });
+  EXPECT_GE(cycles, 2);
+  EXPECT_GE(most, 2u) << "no halted artifact held a multi-violation unit";
+  expect_identical(uninterrupted, resumed,
+                   "collect-all jobs=4 kill-and-resume");
 }
 
 TEST(Checkpoint, ResumeFromCompleteArtifactReproducesTheResult) {

@@ -30,6 +30,7 @@
 #include "obs/runreport.h"
 #include "registers/mwmr_register.h"
 #include "util/checked.h"
+#include "util/env_registry.h"
 
 namespace bss::explore {
 namespace {
@@ -89,12 +90,9 @@ void expect_coverage_parity(const ExploreResult& full,
 }
 
 /// True iff BSS_EXPLORE_FP forces pruning on in every explore() call, so a
-/// prune-off control run cannot be made (the same parse as
-/// resolve_fingerprint_prune in src/explore/explore.cc).
+/// prune-off control run cannot be made.
 bool prune_forced_by_env() {
-  const char* raw = std::getenv("BSS_EXPLORE_FP");
-  return raw != nullptr && raw[0] != '\0' &&
-         !(raw[0] == '0' && raw[1] == '\0');
+  return env::forces_on(std::getenv("BSS_EXPLORE_FP"));
 }
 
 // --------------------------------------------------- determinism invariance

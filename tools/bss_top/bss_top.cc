@@ -294,7 +294,9 @@ void render(const Node& root) {
         std::printf(" elapsed %.1fs",
                     static_cast<double>(elapsed->as_uint()) / 1e3);
       }
-      if (eta != nullptr) std::printf("  eta %.0fs", eta->as_double());
+      // An upper bound, not an estimate: the time to the max_schedules
+      // valve at the current rate; an exhaustive campaign ends sooner.
+      if (eta != nullptr) std::printf("  cap in <= %.0fs", eta->as_double());
       if (ckpt_age != nullptr) {
         std::printf("  last checkpoint %.1fs ago",
                     static_cast<double>(ckpt_age->as_uint()) / 1e3);
