@@ -1,7 +1,6 @@
 #include "explore/election_systems.h"
 
 #include <optional>
-#include <sstream>
 #include <vector>
 
 #include "core/election_validator.h"
@@ -9,6 +8,7 @@
 #include "core/llsc_election.h"
 #include "core/recoverable_election.h"
 #include "core/sim_election.h"
+#include "explore/fingerprint.h"
 #include "util/checked.h"
 
 namespace bss::explore {
@@ -16,30 +16,6 @@ namespace bss::explore {
 namespace {
 
 constexpr std::int64_t kIdBase = 1000;
-
-/// Serializes a final shared-state component into the commute cross-check
-/// fingerprint.  Every instance funnels its register peeks and per-process
-/// results through this so the format stays uniform and deterministic.
-template <class T>
-void fp_field(std::ostringstream& out, const char* label, const T& value) {
-  out << label << '=' << value << ';';
-}
-
-template <class Register>
-void fp_peeks(std::ostringstream& out, const char* label,
-              const std::vector<Register>& registers) {
-  out << label << "=[";
-  for (const auto& reg : registers) out << reg.peek() << ',';
-  out << "];";
-}
-
-template <class T>
-void fp_values(std::ostringstream& out, const char* label,
-               const std::vector<T>& values) {
-  out << label << "=[";
-  for (const auto& value : values) out << value << ',';
-  out << "];";
-}
 
 /// Shared post-run checks: every surviving process finished without
 /// throwing, all survivors agree, and the winner was actually proposed.
@@ -115,13 +91,14 @@ class OneShotInstance final : public SystemInstance {
   }
 
   std::string fingerprint(const sim::SimEnv&) override {
-    std::ostringstream out;
+    std::string out;
+    out.reserve(128);
     fp_field(out, "cas", state_.cas.peek());
     fp_field(out, "cas_transitions", state_.cas.history().size());
     fp_field(out, "weak", state_.weak.peek());
     fp_peeks(out, "claim", state_.claim);
     fp_values(out, "elected", elected_);
-    return out.str();
+    return out;
   }
 
  private:
@@ -162,12 +139,13 @@ class LlScInstance final : public SystemInstance {
   }
 
   std::string fingerprint(const sim::SimEnv&) override {
-    std::ostringstream out;
+    std::string out;
+    out.reserve(128);
     fp_field(out, "llsc", state_.llsc.peek());
     fp_peeks(out, "confirm", state_.confirm);
     fp_peeks(out, "announce", state_.announce);
     fp_values(out, "elected", elected_);
-    return out.str();
+    return out;
   }
 
  private:
@@ -221,22 +199,22 @@ class FvtInstance : public SystemInstance {
   }
 
   std::string fingerprint(const sim::SimEnv&) override {
-    std::ostringstream out;
+    std::string out;
+    out.reserve(128);
     fp_field(out, "cas", state_.cas.peek());
     fp_field(out, "cas_transitions", state_.cas.history().size());
     fp_peeks(out, "confirm", state_.confirm);
     fp_peeks(out, "announce", state_.announce);
-    out << "leaders=[";
-    for (const auto& outcome : outcomes_) {
-      if (outcome.has_value()) {
-        out << outcome->leader;
-      } else {
-        out << '?';
-      }
-      out << ',';
-    }
-    out << "];";
-    return out.str();
+    fp_list(out, "leaders", outcomes_,
+            [](std::string& text,
+               const std::optional<core::ElectOutcome>& outcome) {
+              if (outcome.has_value()) {
+                fp_append(text, outcome->leader);
+              } else {
+                text += '?';
+              }
+            });
+    return out;
   }
 
  protected:
@@ -330,14 +308,15 @@ class AuditMutantInstance final : public SystemInstance {
   }
 
   std::string fingerprint(const sim::SimEnv&) override {
-    std::ostringstream out;
+    std::string out;
+    out.reserve(128);
     fp_field(out, "hidden", hidden_.peek());
     fp_field(out, "scratch", hidden_.scratch());
     fp_field(out, "served", stealth_.peek());
     fp_field(out, "cell", cell_.peek());
     fp_field(out, "peeked", peeked_);
     fp_values(out, "seen", seen_);
-    return out.str();
+    return out;
   }
 
  private:

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <string>
 
+#include "explore/fingerprint.h"
 #include "registers/mwmr_register.h"
 #include "util/checked.h"
 
@@ -41,7 +42,9 @@ class SkewedWriterInstance final : public SystemInstance {
   }
 
   std::string fingerprint(const sim::SimEnv&) override {
-    return "skew=" + std::to_string(reg_.peek()) + ";";
+    std::string out;
+    fp_field(out, "skew", reg_.peek());
+    return out;
   }
 
  private:

@@ -1,9 +1,10 @@
 #include "explore/snapshot_system.h"
 
 #include <cstdint>
-#include <sstream>
+#include <string>
 #include <vector>
 
+#include "explore/fingerprint.h"
 #include "registers/snapshot.h"
 #include "runtime/linearizability.h"
 #include "util/checked.h"
@@ -49,11 +50,10 @@ class SnapshotInstance final : public SystemInstance {
   }
 
   std::string fingerprint(const sim::SimEnv&) override {
-    std::ostringstream out;
-    out << "cells=[";
-    for (const std::int64_t value : snapshot_.peek()) out << value << ',';
-    out << "];ops=" << history_.size() << ';';
-    return out.str();
+    std::string out;
+    fp_values(out, "cells", snapshot_.peek());
+    fp_field(out, "ops", history_.size());
+    return out;
   }
 
  private:

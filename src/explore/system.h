@@ -48,13 +48,23 @@ class SystemInstance {
   virtual std::optional<std::string> check(const sim::SimEnv& env,
                                            const sim::RunReport& report) = 0;
 
-  /// Deterministic serialization of the instance's final state — shared
-  /// register values plus per-process results — for the audit layer's
-  /// differential commutation cross-check (src/audit/commute_check.h),
-  /// which demands byte-identical fingerprints after swapping independent
-  /// operations.  Two runs reaching the same final state must return the
-  /// same string.  The default (empty) opts out: the cross-check then
-  /// compares traces, reports and verdicts only.
+  /// Deterministic serialization of the instance's state — shared
+  /// register values plus per-process results.  Two runs reaching the same
+  /// state must return the same string.  Its consumers:
+  ///   - the visited-state cache (ExploreOptions::fingerprint_prune) hashes
+  ///     it into the key of every DFS node, calling it once per new frame
+  ///     in the middle of a run, so it is on the explorer's hot path;
+  ///   - that key's halves are stored in `bss-checkpoint v1` artifacts as
+  ///     coverage partials, so the text is a compatibility surface: a
+  ///     changed separator makes saved checkpoints cover different states
+  ///     (tests/test_fingerprint.cc pins it byte for byte);
+  ///   - the audit layer's differential commutation cross-check
+  ///     (src/audit/commute_check.h) demands byte-identical fingerprints
+  ///     after swapping independent operations.
+  /// An override writes through the helpers in explore/fingerprint.h into
+  /// one std::string, with no stream.  The default (empty) opts out: no
+  /// prune cache, and the cross-check compares traces, reports and
+  /// verdicts only.
   virtual std::string fingerprint(const sim::SimEnv& env) {
     (void)env;
     return {};

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "explore/fingerprint.h"
 #include "obs/obs.h"
 #include "util/checked.h"
 
@@ -178,7 +179,7 @@ std::vector<ReignRecord> LeaseLedger::reigns() const {
   return reigns_;
 }
 
-std::string LeaseLedger::fingerprint() const {
+void LeaseLedger::fingerprint(std::string& out) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   std::vector<ReignRecord> sorted = reigns_;
   std::sort(sorted.begin(), sorted.end(),
@@ -187,21 +188,31 @@ std::string LeaseLedger::fingerprint() const {
               if (a.pid != b.pid) return a.pid < b.pid;
               return a.incarnation < b.incarnation;
             });
-  std::ostringstream out;
-  out << "reigns=[";
-  for (const ReignRecord& record : sorted) {
-    out << record.pid << ':' << record.incarnation << ':' << record.start
-        << ':' << record.expiry << ':' << record.acted << ':' << record.end
-        << ':' << to_string(record.reason) << ',';
-  }
-  out << "];acquired=" << stats_.leases_acquired
-      << ";takeovers=" << stats_.takeovers << ";renewals=" << stats_.renewals
-      << ";renew_failures=" << stats_.renew_failures
-      << ";retries=" << stats_.retries << ";step_downs=" << stats_.step_downs
-      << ";expirations=" << stats_.expirations
-      << ";give_ups=" << stats_.give_ups << ";actions=" << stats_.actions
-      << ';';
-  return out.str();
+  explore::fp_list(out, "reigns", sorted,
+                   [](std::string& text, const ReignRecord& record) {
+                     explore::fp_append(text, record.pid);
+                     text += ':';
+                     explore::fp_append(text, record.incarnation);
+                     text += ':';
+                     explore::fp_append(text, record.start);
+                     text += ':';
+                     explore::fp_append(text, record.expiry);
+                     text += ':';
+                     explore::fp_append(text, record.acted);
+                     text += ':';
+                     explore::fp_append(text, record.end);
+                     text += ':';
+                     text += to_string(record.reason);
+                   });
+  explore::fp_field(out, "acquired", stats_.leases_acquired);
+  explore::fp_field(out, "takeovers", stats_.takeovers);
+  explore::fp_field(out, "renewals", stats_.renewals);
+  explore::fp_field(out, "renew_failures", stats_.renew_failures);
+  explore::fp_field(out, "retries", stats_.retries);
+  explore::fp_field(out, "step_downs", stats_.step_downs);
+  explore::fp_field(out, "expirations", stats_.expirations);
+  explore::fp_field(out, "give_ups", stats_.give_ups);
+  explore::fp_field(out, "actions", stats_.actions);
 }
 
 }  // namespace bss::service

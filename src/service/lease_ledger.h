@@ -99,11 +99,12 @@ class LeaseLedger {
   LeaseStats stats() const;
   std::vector<ReignRecord> reigns() const;
 
-  /// Deterministic serialization for the audit layer's commutation
-  /// cross-check: reigns sorted by (start, pid, incarnation) plus the
-  /// aggregate counters, so histories reached through swapped independent
-  /// operations fingerprint identically.
-  std::string fingerprint() const;
+  /// Deterministic serialization, appended to `out` through the
+  /// fingerprint helpers (explore/fingerprint.h) as the tail of
+  /// LeaseServiceSystem's fingerprint: reigns sorted by (start, pid,
+  /// incarnation) plus the aggregate counters, so histories reached
+  /// through swapped independent operations fingerprint identically.
+  void fingerprint(std::string& out) const;
 
  private:
   ReignRecord* open_reign_locked(int pid);

@@ -3,6 +3,7 @@
 #include <optional>
 #include <sstream>
 
+#include "explore/fingerprint.h"
 #include "service/lease_ledger.h"
 #include "service/lease_service.h"
 #include "service/sim_platform.h"
@@ -47,11 +48,13 @@ class LeaseInstance final : public explore::SystemInstance {
   }
 
   std::string fingerprint(const sim::SimEnv& env) override {
-    std::ostringstream out;
-    out << "holder=" << state_.holder.peek() << ";expiry=[";
-    for (const auto& reg : state_.expiry) out << reg.peek() << ',';
-    out << "];clock=" << env.virtual_now() << ';' << ledger_.fingerprint();
-    return out.str();
+    std::string out;
+    out.reserve(256);
+    explore::fp_field(out, "holder", state_.holder.peek());
+    explore::fp_peeks(out, "expiry", state_.expiry);
+    explore::fp_field(out, "clock", env.virtual_now());
+    ledger_.fingerprint(out);
+    return out;
   }
 
  private:

@@ -17,6 +17,8 @@
 #include "core/mutant_elections.h"
 #include "explore/election_systems.h"
 #include "explore/explore.h"
+#include "service/lease_config.h"
+#include "service/lease_system.h"
 #include "util/env_registry.h"
 
 namespace {
@@ -143,6 +145,46 @@ TEST_F(AllocGate, ParallelWorkersReuseTheirOwnEnv) {
   ASSERT_TRUE(measured.result.exhausted);
   EXPECT_EQ(measured.result.stats.schedules, 1'680u);
   EXPECT_LE(measured.per_schedule, 16.0);
+}
+
+// The visited-state cache fingerprints every new DFS frame, so with it on
+// the system's fingerprint() runs several times per schedule.  This is the
+// largest case of `perfbench --workload refute` (the no-step-down lease
+// mutant under one spurious SC fault, iterative preemption bounding up to
+// 4, stopped at the first violation), minus minimization, which is not a
+// schedule.  The cache is requested here, so BSS_EXPLORE_FP changes
+// nothing; only the audit layer adds work of its own, which is why this
+// case has no AllocGate fixture.
+TEST(AllocGatePrune, RefuteSweepAllocatesUnderFortyEightPerSchedule) {
+  if (forced_on("BSS_AUDIT")) {
+    GTEST_SKIP() << "BSS_AUDIT adds per-schedule work";
+  }
+  service::LeaseConfig config;
+  config.n = 2;
+  config.renewals = 1;
+  config.acquire_attempts = 2;
+  config.sc_retries = 0;
+  const service::LeaseServiceSystem system(
+      config, service::LeaseMutant::kNoStepDownOnRenewFailure);
+  ExploreOptions options;
+  options.jobs = 1;
+  options.iterative = true;
+  options.preemption_bound = 4;
+  options.fingerprint_prune = true;
+  options.stop_at_first_violation = true;
+  options.minimize = false;
+  options.fault_bound = 1;
+  options.explore_crashes = false;
+  options.explore_restarts = false;
+  options.explore_sc_failures = true;
+  const Measured measured = measure(system, options);
+  ASSERT_FALSE(measured.result.ok());
+  ASSERT_EQ(measured.result.stats.schedules, 6'429u);
+  ASSERT_GT(measured.result.stats.fingerprint_prunes, 0u);
+  // Per schedule: make()'s instance and, per new frame, one fingerprint
+  // string and the ledger's sorted copy of its reigns (38.1 measured; a
+  // fingerprint built through an ostringstream made it 73.9).
+  EXPECT_LE(measured.per_schedule, 48.0);
 }
 
 }  // namespace

@@ -189,8 +189,12 @@ TEST(LeaseLedger, FingerprintIsInsertionOrderIndependent) {
   b.stepped_down(1, 17, StepDownReason::kRetired);
   b.acquired(0, 0, 0, 8, false);
   b.stepped_down(0, 8, StepDownReason::kRetired);
-  EXPECT_EQ(a.fingerprint(), b.fingerprint());
-  EXPECT_FALSE(a.fingerprint().empty());
+  std::string a_text;
+  a.fingerprint(a_text);
+  std::string b_text;
+  b.fingerprint(b_text);
+  EXPECT_EQ(a_text, b_text);
+  EXPECT_FALSE(a_text.empty());
 }
 
 TEST(LeaseLedger, StatsMergeAddsCounters) {
@@ -412,6 +416,88 @@ TEST(LeaseService, TelemetryIsPassiveAndReportsTimerGrants) {
   EXPECT_EQ(report->system(), system.name());
   EXPECT_EQ(report->stat("timer_grants"), reference.stats.timer_grants);
   EXPECT_GT(report->stat("timer_grants"), 0u);
+}
+
+// ------------------------------------- the visited-state cache (prune)
+//
+// The lease system's fingerprint (holder, expiries, clock and the whole
+// ledger) is the visited-state key of every lease campaign run with
+// ExploreOptions::fingerprint_prune.  These cases run the lease mutants
+// the way `perfbench --workload refute` does, with the cache on and off,
+// and a clean campaign on one and four workers.  CI runs them under TSan:
+// workers reach the ledger's locked fingerprint() concurrently.
+
+/// perfbench's refute options: iterative preemption bounding up to 4,
+/// stop at the first violation, minimize it, one fault.  The worker count
+/// is left to BSS_EXPLORE_JOBS, which the TSan step sets to 4.
+ExploreOptions refute_options() {
+  ExploreOptions options;
+  options.iterative = true;
+  options.preemption_bound = 4;
+  options.stop_at_first_violation = true;
+  options.minimize = true;
+  options.fault_bound = 1;
+  return options;
+}
+
+/// Refutes `system` with the cache off and on: both find an overlap with
+/// the same violation text, and the pruned run's artifact replays.
+/// Returns the pruned run's result.
+ExploreResult expect_prune_refutes_alike(const LeaseServiceSystem& system,
+                                         ExploreOptions options) {
+  options.fingerprint_prune = false;
+  const ExploreResult plain = explore::explore(system, options);
+  options.fingerprint_prune = true;
+  ExploreResult pruned = explore::explore(system, options);
+  EXPECT_FALSE(plain.ok());
+  EXPECT_FALSE(pruned.ok());
+  if (plain.ok() || pruned.ok()) return pruned;
+  const Counterexample& cex = pruned.violations.front();
+  EXPECT_NE(cex.violation.find("overlapping leases"), std::string::npos)
+      << cex.violation;
+  EXPECT_EQ(cex.violation, plain.violations.front().violation);
+  const ReplayOutcome replay = explore::replay_counterexample(system, cex);
+  EXPECT_TRUE(replay.violated);
+  EXPECT_EQ(replay.divergences, 0u);
+  return pruned;
+}
+
+// Found in the first passes, before the cache has anything to prune.
+TEST(LeaseService, FingerprintPruneRefutesRenewAfterExpiryAlike) {
+  LeaseServiceSystem system(med_config(), LeaseMutant::kRenewAfterExpiry);
+  expect_prune_refutes_alike(system, refute_options());
+}
+
+// refute's largest case: thousands of schedules, and the cache prunes.
+TEST(LeaseService, FingerprintPruneRefutesNoStepDownAlike) {
+  LeaseConfig config = med_config();
+  config.sc_retries = 0;
+  LeaseServiceSystem system(config, LeaseMutant::kNoStepDownOnRenewFailure);
+  ExploreOptions options = refute_options();
+  options.explore_crashes = false;
+  options.explore_restarts = false;
+  options.explore_sc_failures = true;
+  const ExploreResult pruned = expect_prune_refutes_alike(system, options);
+  EXPECT_GT(pruned.stats.fingerprint_prunes, 0u);
+}
+
+// The cache only prunes across passes (it is frozen while a pass runs), so
+// the campaign is iterative; budget 6 is where the n=2 space stops being
+// cut by the preemption bound, so the sweep is exhausted.
+TEST(LeaseService, FingerprintPruneCleanCampaignIsIdenticalAcrossJobs) {
+  LeaseServiceSystem system(small_config(2));
+  ExploreOptions options;
+  options.fingerprint_prune = true;
+  options.iterative = true;
+  options.preemption_bound = 6;
+  options.jobs = 1;
+  const ExploreResult serial = explore::explore(system, options);
+  EXPECT_TRUE(serial.ok());
+  EXPECT_TRUE(serial.exhausted);
+  EXPECT_GT(serial.stats.fingerprint_prunes, 0u);
+  options.jobs = 4;
+  expect_identical(serial, explore::explore(system, options),
+                   "fingerprint prune, jobs=1 vs jobs=4");
 }
 
 // ---------------------------------------------------- std::thread backend
